@@ -14,8 +14,6 @@ PRIMAL_INFEASIBLE = "primal_infeasible"
 DUAL_INFEASIBLE = "dual_infeasible"
 MAX_ITERATIONS = "max_iterations"
 
-STATUSES = (SOLVED, PRIMAL_INFEASIBLE, DUAL_INFEASIBLE, MAX_ITERATIONS)
-
 
 @dataclass
 class TraceRecord:

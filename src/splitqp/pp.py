@@ -12,6 +12,25 @@ methods are available: a semismooth Newton iteration using the
 projection's generalized derivative (default), and a damped fixed-point
 iteration with step ``1 / (1 + gamma ||Q|| + gamma^2 ||A||^2)``.
 
+The Newton matrix is ``J = I + gamma Q + gamma^2 A.T (I - D) A`` with D the
+structured projection Jacobian (``sets.ProjectionJacobian``): a 0/1 mask
+on polyhedral coordinates, a rank-one term per active halfspace, and a
+scaled identity plus rank <= 2 per ball or cone block on its boundary.
+It is assembled as
+
+    A_C.T A_C + sum_k (1 - alpha_k) G_k - (A.T U) N (A.T U).T
+
+from the rows ``A_C`` on clamped coordinates, the Gram matrix ``G_k`` of
+each boundary block's rows (computed once per solver, on the block's
+first boundary hit), and the low-rank terms; it never forms an m x m
+matrix. The Cholesky factor of J is kept with the active pattern that
+produced it and reused, across Newton and outer steps, while the
+pattern is unchanged. Only a piecewise-constant D has a pattern (every
+part polyhedral, or a cone block in its interior or origin branch); a
+block on a curved boundary refactors at every step. For polyhedral C,
+F is piecewise affine, so once the pattern settles a Newton step costs
+one ``cho_solve`` and no factorization.
+
 With ``v_n+1 = A x_n+1 + y_n / gamma`` and ``z = Pi_C(v)``, the
 optimality residuals are the scaled difference norms:
 
@@ -124,25 +143,57 @@ class PpSolver:
             self._tau = 1.0 / (1.0 + g * norm_Q + g * g * norm_A * norm_A)
         else:
             self._tau = None
+        # Newton-matrix caches: cone-block Gram matrices, and the last
+        # Cholesky factor with the active pattern it was built for
+        self._grams = {}
+        self._factor = None
+        self._factor_key = None
 
     def _f_value(self, x, x_prev, u_base):
-        """F(x); ``u_base = y_prev / gamma`` is fixed during the solve."""
+        """``(F(x), u, Pi_C(u))``; ``u_base = y_prev / gamma`` is fixed."""
         P, g = self.problem, self.config.gamma
         u = P.A @ x + u_base
-        resid = u - P.C.project(u)
-        return self._S @ x - x_prev + g * P.q + (g * g) * (P.A.T @ resid), u
+        z = P.C.project(u)
+        return (self._S @ x - x_prev + g * P.q + (g * g) * (P.A.T @ (u - z)),
+                u, z)
+
+    def newton_matrix(self, jac):
+        """``I + gamma Q + gamma^2 A.T (I - D) A`` for a structured D.
+
+        With ``A_C`` the rows on clamped coordinates, ``G_k`` the cached
+        Gram matrix of cone block k and ``W_t = A_t.T U_t`` per low-rank
+        term, the bracket is ``A_C.T A_C + sum_k (1 - alpha_k) G_k
+        - sum_t W_t N_t W_t.T``.
+        """
+        A, g = self.problem.A, self.config.gamma
+        clamped = jac.d == 0.0
+        for start, stop, _ in jac.blocks:
+            clamped[start:stop] = False
+        A_C = A[clamped]
+        H = A_C.T @ A_C
+        for start, stop, alpha in jac.blocks:
+            G = self._grams.get((start, stop))
+            if G is None:  # first boundary hit of this block
+                A_k = A[start:stop]
+                G = self._grams[(start, stop)] = A_k.T @ A_k
+            H += (1.0 - alpha) * G
+        for start, U, N in jac.terms:
+            W = A[start:start + U.shape[0]].T @ U
+            H -= W @ N @ W.T
+        return self._S + (g * g) * H
 
     def resolvent_solve(self, x_prev, y_prev, tol):
         """Root-find F(x) = 0, then recover the next dual iterate.
 
-        Returns ``(x_next, y_next, inner_iters)`` with
-        ``||F(x_next)||_inf <= tol``. Raises InnerSolveError if the inner
-        iteration budget runs out.
+        Returns ``(x_next, y_next, inner_iters, u, z)`` with
+        ``||F(x_next)||_inf <= tol``, where ``u = A x_next + y_prev / gamma``
+        and ``z = Pi_C(u)`` come from the last F evaluation. Raises
+        InnerSolveError if the inner iteration budget runs out.
         """
         P, cfg, g = self.problem, self.config, self.config.gamma
         u_base = y_prev / g
         x = np.asarray(x_prev, dtype=float).copy()
-        Fx, u = self._f_value(x, x_prev, u_base)
+        Fx, u, z = self._f_value(x, x_prev, u_base)
         iters = 0
         best_x, best_norm = x, _inf_norm(Fx)
         while _inf_norm(Fx) > tol:
@@ -153,31 +204,34 @@ class PpSolver:
                     f"(best residual {best_norm:g})",
                     best_x=best_x, residual_norm=best_norm, iterations=iters)
             if cfg.inner_method == "semismooth_newton":
-                D = P.C.projection_jacobian(u)
-                J = self._S + (g * g) * (P.A.T @ ((np.eye(P.m) - D) @ P.A))
-                step = scipy.linalg.cho_solve(
-                    scipy.linalg.cho_factor(J, lower=True), -Fx)
+                jac = P.C.projection_jacobian(u)
+                key = jac.pattern_key()  # None on a curved boundary
+                if key is None or key != self._factor_key:
+                    self._factor = scipy.linalg.cho_factor(
+                        self.newton_matrix(jac), lower=True)
+                    self._factor_key = key
+                step = scipy.linalg.cho_solve(self._factor, -Fx)
                 norm_Fx = _inf_norm(Fx)
                 t = 1.0
                 while t > 1e-12:
                     x_trial = x + t * step
-                    F_trial, u_trial = self._f_value(x_trial, x_prev, u_base)
-                    if _inf_norm(F_trial) <= (1.0 - 1e-4 * t) * norm_Fx:
+                    trial = self._f_value(x_trial, x_prev, u_base)
+                    if _inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
                         break
                     t *= 0.5
                 else:  # no sufficient decrease found; take the full step
                     x_trial = x + step
-                    F_trial, u_trial = self._f_value(x_trial, x_prev, u_base)
-                x, Fx, u = x_trial, F_trial, u_trial
+                    trial = self._f_value(x_trial, x_prev, u_base)
+                x = x_trial
+                Fx, u, z = trial
             else:
                 x = x - self._tau * Fx
-                Fx, u = self._f_value(x, x_prev, u_base)
+                Fx, u, z = self._f_value(x, x_prev, u_base)
             iters += 1
             norm = _inf_norm(Fx)
             if norm < best_norm:
                 best_x, best_norm = x, norm
-        y_next = g * (u - P.C.project(u))
-        return x, y_next, iters
+        return x, g * (u - z), iters, u, z
 
     def _effective_inner_tol(self, state):
         cfg = self.config
@@ -207,11 +261,9 @@ class PpSolver:
                        dv=np.zeros(P.m), dz=np.zeros(P.m))
 
     def step(self, state: PpState) -> PpState:
-        P, g = self.problem, self.config.gamma
         tol = self._effective_inner_tol(state)
-        x_next, y_next, iters = self.resolvent_solve(state.x, state.y, tol)
-        v_next = P.A @ x_next + state.y / g
-        z_next = P.C.project(v_next)
+        x_next, y_next, iters, v_next, z_next = self.resolvent_solve(
+            state.x, state.y, tol)
         return PpState(
             n=state.n + 1, x=x_next, y=y_next, v=v_next, z=z_next,
             dx=x_next - state.x, dy=y_next - state.y,

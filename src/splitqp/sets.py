@@ -2,7 +2,9 @@
 
 Each descriptor knows its exact Euclidean projection, support function,
 recession-cone projection, and the generalized derivative of the
-projection map (used by the semismooth Newton inner solver). The polar
+projection map (used by the semismooth Newton inner solver) in the
+structured form ``ProjectionJacobian``: a diagonal plus local terms of
+rank at most two, never a dense matrix. The polar
 recession projection is always the Moreau complement ``d - proj_rec(d)``
 so the decomposition identity holds bit-exactly.
 
@@ -36,6 +38,67 @@ def _as_bounds(x, name):
     return v
 
 
+class ProjectionJacobian:
+    """Structured element D of the generalized derivative of a projection.
+
+    Represents the symmetric matrix
+
+        D = diag(d) + sum over terms (start, U, N) of E U N U.T E.T
+
+    where ``E`` embeds the coordinates ``start:start + len(U)``, ``U`` has
+    at most two columns and ``N`` is a small symmetric matrix. ``blocks``
+    lists ``(start, stop, alpha)`` for cone blocks on a curved boundary:
+    there ``d`` equals ``alpha`` (a scaled identity) and one term adds the
+    low-rank rest. Outside the blocks ``d`` is a 0/1 mask (0 = clamped).
+
+    ``curved`` is True when D varies with the point within its branch
+    (a Ball or second-order cone on its boundary). Otherwise D is
+    constant on its branch and ``pattern_key()`` identifies it: equal
+    keys from the same set mean equal matrices.
+    """
+
+    __slots__ = ("d", "terms", "blocks", "curved")
+
+    def __init__(self, d, terms=(), blocks=(), curved=False):
+        self.d = d
+        self.terms = terms
+        self.blocks = blocks
+        self.curved = curved
+
+    @classmethod
+    def scaled_block(cls, alpha, U, N):
+        """``alpha * I + U N U.T`` on one cone block of its own dimension."""
+        dim = U.shape[0]
+        return cls(np.full(dim, alpha), terms=[(0, U, N)],
+                   blocks=[(0, dim, alpha)], curved=True)
+
+    @classmethod
+    def concat(cls, parts):
+        """Block-diagonal composition, in coordinate order."""
+        terms, blocks, offset = [], [], 0
+        for J in parts:
+            terms.extend((start + offset, U, N) for start, U, N in J.terms)
+            blocks.extend((lo + offset, hi + offset, alpha)
+                          for lo, hi, alpha in J.blocks)
+            offset += J.d.shape[0]
+        return cls(np.concatenate([J.d for J in parts]), terms, blocks,
+                   any(J.curved for J in parts))
+
+    def pattern_key(self):
+        """Hashable active pattern, or None when D is curved."""
+        if self.curved:
+            return None
+        return self.d.tobytes(), tuple(start for start, _, _ in self.terms)
+
+    def dense(self):
+        """The matrix D as a dense array."""
+        D = np.diag(self.d)
+        for start, U, N in self.terms:
+            sl = slice(start, start + U.shape[0])
+            D[sl, sl] += U @ N @ U.T
+        return D
+
+
 class SetDescriptor:
     """Base class; concrete sets implement project/support/recession."""
 
@@ -61,7 +124,8 @@ class SetDescriptor:
     def projection_jacobian(self, v):
         """An element of the generalized derivative of the projection.
 
-        Kinks resolve deterministically to the clamped branch.
+        Returned as a ``ProjectionJacobian``. Kinks resolve
+        deterministically to the clamped branch.
         """
         raise NotImplementedError
 
@@ -135,7 +199,7 @@ class Box(SetDescriptor):
     def projection_jacobian(self, v):
         v = self._check_dim(v)
         free = (v > self.lower) & (v < self.upper)
-        return np.diag(free.astype(float))
+        return ProjectionJacobian(free.astype(float))
 
 
 class NonnegativeOrthant(SetDescriptor):
@@ -170,7 +234,7 @@ class NonnegativeOrthant(SetDescriptor):
 
     def projection_jacobian(self, v):
         v = self._check_dim(v)
-        return np.diag((v > 0.0).astype(float))
+        return ProjectionJacobian((v > 0.0).astype(float))
 
 
 class Zero(SetDescriptor):
@@ -202,7 +266,7 @@ class Zero(SetDescriptor):
 
     def projection_jacobian(self, v):
         self._check_dim(v)
-        return np.zeros((self._dim, self._dim))
+        return ProjectionJacobian(np.zeros(self._dim))
 
 
 class Singleton(SetDescriptor):
@@ -229,7 +293,7 @@ class Singleton(SetDescriptor):
 
     def projection_jacobian(self, v):
         self._check_dim(v)
-        return np.zeros((self.dim, self.dim))
+        return ProjectionJacobian(np.zeros(self.dim))
 
 
 class Halfspace(SetDescriptor):
@@ -279,10 +343,12 @@ class Halfspace(SetDescriptor):
 
     def projection_jacobian(self, v):
         v = self._check_dim(v)
+        ones = np.ones(self.dim)
         if float(self.normal @ v) - self.offset >= 0.0:
-            a = self.normal
-            return np.eye(self.dim) - np.outer(a, a) / self._sqnorm
-        return np.eye(self.dim)
+            # I - a a.T / ||a||^2, constant while the constraint is active
+            return ProjectionJacobian(ones, terms=[(
+                0, self.normal[:, None], np.array([[-1.0 / self._sqnorm]]))])
+        return ProjectionJacobian(ones)
 
 
 class Ball(SetDescriptor):
@@ -319,11 +385,13 @@ class Ball(SetDescriptor):
         diff = v - self.center
         rho = float(np.linalg.norm(diff))
         if rho < self.radius:
-            return np.eye(self.dim)
+            return ProjectionJacobian(np.ones(self.dim))
         if rho == 0.0:
-            return np.zeros((self.dim, self.dim))
-        w = diff / rho
-        return (self.radius / rho) * (np.eye(self.dim) - np.outer(w, w))
+            return ProjectionJacobian(np.zeros(self.dim))
+        # (r / rho) (I - w w.T) with w the unit radial direction
+        alpha = self.radius / rho
+        return ProjectionJacobian.scaled_block(
+            alpha, (diff / rho)[:, None], np.array([[-alpha]]))
 
 
 class SecondOrderCone(SetDescriptor):
@@ -375,18 +443,18 @@ class SecondOrderCone(SetDescriptor):
         t, x = v[0], v[1:]
         rho = float(np.linalg.norm(x))
         if rho <= -t:
-            return np.zeros((self._dim, self._dim))
+            return ProjectionJacobian(np.zeros(self._dim))
         if rho < t:
-            return np.eye(self._dim)
-        w = x / rho
-        D = np.empty((self._dim, self._dim))
-        D[0, 0] = 0.5
-        D[0, 1:] = 0.5 * w
-        D[1:, 0] = 0.5 * w
+            return ProjectionJacobian(np.ones(self._dim))
+        # boundary branch: with r = t / rho, e0 = (1, 0) and w' = (0, x / rho),
+        #   D = [[1/2, w.T/2], [w/2, ((1 + r) I - r w w.T) / 2]]
+        #     = (1 + r)/2 I + [e0 w'] N [e0 w'].T,  N = [[-r, 1], [1, -r]] / 2
         ratio = t / rho
-        D[1:, 1:] = 0.5 * ((1.0 + ratio) * np.eye(self._dim - 1)
-                           - ratio * np.outer(w, w))
-        return D
+        U = np.zeros((self._dim, 2))
+        U[0, 0] = 1.0
+        U[1:, 1] = x / rho
+        N = 0.5 * np.array([[-ratio, 1.0], [1.0, -ratio]])
+        return ProjectionJacobian.scaled_block(0.5 * (1.0 + ratio), U, N)
 
 
 _CONE_KINDS = (NonnegativeOrthant, Zero, SecondOrderCone)
@@ -476,10 +544,8 @@ class Cartesian(SetDescriptor):
 
     def projection_jacobian(self, v):
         v = self._check_dim(v)
-        D = np.zeros((self.dim, self.dim))
-        for part, sl in self._slices():
-            D[sl, sl] = part.projection_jacobian(v[sl])
-        return D
+        return ProjectionJacobian.concat(
+            [part.projection_jacobian(v[sl]) for part, sl in self._slices()])
 
 
 def whole_space(dim):

@@ -35,7 +35,7 @@ def test_resolvent_whole_space():
     solver = PpSolver(P, PpConfig(gamma=gamma, inner_tol_abs=1e-12))
     x_prev = rng.normal(size=n)
     y_prev = rng.normal(size=m)
-    x, y, iters = solver.resolvent_solve(x_prev, y_prev, 1e-12)
+    x, y, iters, _, _ = solver.resolvent_solve(x_prev, y_prev, 1e-12)
     expected = np.linalg.solve(np.eye(n) + gamma * Q, x_prev - gamma * q)
     assert np.max(np.abs(x - expected)) <= 1e-10
     assert np.max(np.abs(y)) <= 1e-12
@@ -46,7 +46,7 @@ def test_resolvent_scalar_hand_example():
     # and the dual update gives y = -1/2
     P = ProblemData(Q=np.zeros((1, 1)), q=[0.0], A=[[1.0]], C=Box([0.0], [inf]))
     solver = PpSolver(P, PpConfig(gamma=1.0, inner_tol_abs=1e-12))
-    x, y, _ = solver.resolvent_solve(np.array([-1.0]), np.array([0.0]), 1e-12)
+    x, y, *_ = solver.resolvent_solve(np.array([-1.0]), np.array([0.0]), 1e-12)
     assert x == pytest.approx([-0.5], abs=1e-10)
     assert y == pytest.approx([-0.5], abs=1e-10)
     # verify the root directly: F(x) = x + 1 + min(x, 0)
@@ -57,7 +57,7 @@ def test_resolvent_fixes_kkt_points():
     b = gen_feasible(11, 4, 6, "box")
     x, y = b.truth["x"], b.truth["y"]
     solver = PpSolver(b.problem, PpConfig(inner_tol_abs=1e-12))
-    xn, yn, _ = solver.resolvent_solve(x, y, 1e-12)
+    xn, yn, *_ = solver.resolvent_solve(x, y, 1e-12)
     assert np.max(np.abs(xn - x)) <= 1e-10
     assert np.max(np.abs(yn - y)) <= 1e-10
 
@@ -147,8 +147,8 @@ def test_damped_fixed_point_matches_newton():
     for _ in range(5):
         x_prev = rng.normal(size=3)
         y_prev = rng.normal(size=4)
-        xn, yn, _ = newton.resolvent_solve(x_prev, y_prev, 1e-11)
-        xf, yf, iters_f = fixed.resolvent_solve(x_prev, y_prev, 1e-11)
+        xn, yn, *_ = newton.resolvent_solve(x_prev, y_prev, 1e-11)
+        xf, yf, iters_f, _, _ = fixed.resolvent_solve(x_prev, y_prev, 1e-11)
         assert np.max(np.abs(xn - xf)) <= 1e-9
         assert np.max(np.abs(yn - yf)) <= 1e-9
         assert iters_f > 0

@@ -280,8 +280,8 @@ def _near_kink(S, v, h):
         e = np.zeros(S.dim)
         e[j] = 10 * h
         probes.extend([v + e, v - e])
-    jac_ref = S.projection_jacobian(v)
-    return any(np.max(np.abs(S.projection_jacobian(p) - jac_ref)) > 1e-6
+    jac_ref = S.projection_jacobian(v).dense()
+    return any(np.max(np.abs(S.projection_jacobian(p).dense() - jac_ref)) > 1e-6
                for p in probes)
 
 
@@ -295,7 +295,7 @@ def test_projection_jacobian_matches_finite_differences(kind):
             v = rng.normal(size=S.dim) * 2.0
             if _near_kink(S, v, h):
                 continue
-            D = S.projection_jacobian(v)
+            D = S.projection_jacobian(v).dense()
             for j in range(S.dim):
                 e = np.zeros(S.dim)
                 e[j] = h
@@ -308,10 +308,10 @@ def test_projection_jacobian_matches_finite_differences(kind):
 def test_jacobian_kink_convention_clamps():
     # at an active bound the derivative is the clamped branch (zero)
     B = Box([0.0], [1.0])
-    assert B.projection_jacobian([0.0])[0, 0] == 0.0
-    assert B.projection_jacobian([1.0])[0, 0] == 0.0
-    assert B.projection_jacobian([0.5])[0, 0] == 1.0
+    assert B.projection_jacobian([0.0]).dense()[0, 0] == 0.0
+    assert B.projection_jacobian([1.0]).dense()[0, 0] == 0.0
+    assert B.projection_jacobian([0.5]).dense()[0, 0] == 1.0
     N = NonnegativeOrthant(1)
-    assert N.projection_jacobian([0.0])[0, 0] == 0.0
+    assert N.projection_jacobian([0.0]).dense()[0, 0] == 0.0
     H = Halfspace([1.0], 0.0)
-    assert H.projection_jacobian([0.0])[0, 0] == 0.0
+    assert H.projection_jacobian([0.0]).dense()[0, 0] == 0.0
