@@ -1,8 +1,10 @@
 """Command-line front door: solve, generate, and check subcommands.
 
 Exit codes for ``solve``: 0 solved, 10 primal infeasible, 11 dual
-infeasible, 12 iteration limit, 2 input error. ``check`` exits 0 when
-the candidate certificate passes, 1 when it fails, 2 on input errors.
+infeasible, 12 iteration limit, 2 input error, 3 numerical breakdown
+(PP's inner solve failed to converge; no outcome is written).
+``check`` exits 0 when the candidate certificate passes, 1 when it
+fails, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ EXIT_CODES = {
     oc.DUAL_INFEASIBLE: 11,
     oc.MAX_ITERATIONS: 12,
 }
+# not in EXIT_CODES: a breakdown writes no outcome
+EXIT_BREAKDOWN = 3
 
 
 def _build_parser():
@@ -141,7 +145,10 @@ def main(argv=None):
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_check(args)
-    except (ProblemFormatError, InnerSolveError, ValueError, OSError) as exc:
+    except InnerSolveError as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_BREAKDOWN
+    except (ProblemFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,13 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import outcome as oc
-from .linalg import spd_factor
+from .linalg import inf_norm, spd_factor
 from .problem import (Certificate, ProblemData, check_dual_certificate,
                       check_primal_certificate)
-
-def _inf_norm(v):
-    return float(np.max(np.abs(v), initial=0.0))
-
 
 @dataclass(frozen=True)
 class DrConfig:
@@ -125,7 +121,7 @@ class DrSolver:
         if state.n < 1:
             raise ValueError("residuals need at least one completed iteration")
         prim, dual = self.residual_vectors(state)[:2]
-        return _inf_norm(prim), _inf_norm(dual)
+        return inf_norm(prim), inf_norm(dual)
 
     def residual_vectors(self, state: DrState):
         """Both evaluations of each residual identity at this state.
@@ -148,8 +144,8 @@ class DrSolver:
     def current_residuals(self, state: DrState):
         """Residual norms evaluated directly at the current iterate."""
         P = self.problem
-        prim = _inf_norm(P.A @ state.x - state.z)
-        dual = _inf_norm(P.Q @ state.x + P.q + P.A.T @ state.y)
+        prim = inf_norm(P.A @ state.x - state.z)
+        dual = inf_norm(P.Q @ state.x + P.q + P.A.T @ state.y)
         return prim, dual
 
     def check_termination(self, state: DrState):
@@ -158,11 +154,11 @@ class DrSolver:
         Ax = P.A @ state.x
         Qx = P.Q @ state.x
         Aty = P.A.T @ state.y
-        prim = _inf_norm(Ax - state.z)
-        dual = _inf_norm(Qx + P.q + Aty)
-        eps_prim = cfg.eps_abs + cfg.eps_rel * max(_inf_norm(Ax), _inf_norm(state.z))
+        prim = inf_norm(Ax - state.z)
+        dual = inf_norm(Qx + P.q + Aty)
+        eps_prim = cfg.eps_abs + cfg.eps_rel * max(inf_norm(Ax), inf_norm(state.z))
         eps_dual = cfg.eps_abs + cfg.eps_rel * max(
-            _inf_norm(Qx), _inf_norm(P.q), _inf_norm(Aty))
+            inf_norm(Qx), inf_norm(P.q), inf_norm(Aty))
         if prim <= eps_prim and dual <= eps_dual:
             return oc.SolveOutcome(
                 status=oc.SOLVED, iterations=state.n,
@@ -171,13 +167,13 @@ class DrSolver:
 
         primal_cert = None
         dual_cert = None
-        if _inf_norm(state.dy) > 0.0:
+        if inf_norm(state.dy) > 0.0:
             ok, metrics = check_primal_certificate(P, state.dy, cfg.eps_pinf)
             if ok:
                 primal_cert = Certificate(
                     kind="primal_infeasibility", vector=state.dy.copy(),
                     metrics={**metrics, "eps": cfg.eps_pinf})
-        if _inf_norm(state.dx) > 0.0:
+        if inf_norm(state.dx) > 0.0:
             ok, metrics = check_dual_certificate(P, state.dx, cfg.eps_dinf)
             if ok:
                 dual_cert = Certificate(
@@ -204,10 +200,10 @@ class DrSolver:
         prim, dual = self.current_residuals(state)
         return oc.TraceRecord(
             n=state.n, primal_res=prim, dual_res=dual,
-            norm_dx=_inf_norm(state.dx), norm_dy=_inf_norm(state.dy),
-            norm_At_dy=_inf_norm(P.A.T @ state.dy),
+            norm_dx=inf_norm(state.dx), norm_dy=inf_norm(state.dy),
+            norm_At_dy=inf_norm(P.A.T @ state.dy),
             support_dy=float(P.C.support(state.dy, cone_tol=cfg.eps_pinf)),
-            norm_Q_dx=_inf_norm(P.Q @ state.dx),
+            norm_Q_dx=inf_norm(P.Q @ state.dx),
             q_dot_dx=float(P.q @ state.dx),
             dist_rec=P.C.distance_to_recession(P.A @ state.dx),
             inner_iters=inner_iters)

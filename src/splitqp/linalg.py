@@ -27,7 +27,7 @@ def as_vector(x, dim=None, name="vector"):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"{name} has dimension {v.shape[0]}, expected {dim}")
@@ -39,11 +39,16 @@ def as_matrix(M, shape=None, name="matrix"):
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     if shape is not None and A.shape != tuple(shape):
         raise ValueError(f"{name} has shape {A.shape}, expected {tuple(shape)}")
     return A
+
+
+def inf_norm(v):
+    """Max-abs norm of ``v`` as a float; 0.0 for an empty vector."""
+    return float(np.abs(v).max(initial=0.0))
 
 
 def matvec(M, x):
@@ -77,12 +82,17 @@ class SpdFactor:
     """Cholesky factor of a symmetric positive-definite matrix.
 
     Factor once, solve many times. ``matrix`` keeps the symmetrized
-    input so tests can verify the reconstruction error.
+    input so tests can verify the reconstruction error. Solves call
+    LAPACK ``potrs`` on the cached factor directly: the factor is finite
+    by construction, so the finiteness scan ``cho_solve`` would repeat
+    over all n x n entries on every call is skipped, while the
+    right-hand side is still checked.
     """
 
     def __init__(self, matrix, cho):
         self.matrix = matrix
         self._cho = cho
+        self._potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (cho[0],))
 
     @property
     def order(self):
@@ -90,7 +100,13 @@ class SpdFactor:
 
     def solve(self, b):
         b = as_vector(b, dim=self.order, name="right-hand side")
-        return scipy.linalg.cho_solve(self._cho, b)
+        if b.size == 0:  # potrs rejects empty operands
+            return b.copy()
+        c, lower = self._cho
+        x, info = self._potrs(c, b, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
 
 
 def spd_factor(M):
@@ -103,7 +119,7 @@ def spd_factor(M):
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if M.size and np.max(np.abs(M - M.T)) > SYMMETRY_ATOL:
+    if inf_norm(M - M.T) > SYMMETRY_ATOL:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")
     S = symmetrize(M)
     try:

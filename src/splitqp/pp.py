@@ -50,15 +50,11 @@ import numpy as np
 import scipy.linalg
 
 from . import outcome as oc
-from .linalg import spectral_norm_est
+from .linalg import inf_norm, spectral_norm_est
 from .problem import (Certificate, ProblemData, check_dual_certificate,
                       check_primal_certificate)
 
 INNER_METHODS = ("semismooth_newton", "damped_fixed_point")
-
-
-def _inf_norm(v):
-    return float(np.max(np.abs(v), initial=0.0))
 
 
 class InnerSolveError(RuntimeError):
@@ -195,8 +191,8 @@ class PpSolver:
         x = np.asarray(x_prev, dtype=float).copy()
         Fx, u, z = self._f_value(x, x_prev, u_base)
         iters = 0
-        best_x, best_norm = x, _inf_norm(Fx)
-        while _inf_norm(Fx) > tol:
+        best_x, best_norm = x, inf_norm(Fx)
+        while inf_norm(Fx) > tol:
             if iters >= cfg.inner_max_iter:
                 raise InnerSolveError(
                     f"inner solve did not reach tolerance {tol:g} within "
@@ -206,17 +202,22 @@ class PpSolver:
             if cfg.inner_method == "semismooth_newton":
                 jac = P.C.projection_jacobian(u)
                 key = jac.pattern_key()  # None on a curved boundary
+                # J comes from validated data, the set methods reject a
+                # non-finite u and a NaN Fx ends the loop before this
+                # solve, so scipy's finiteness scans are skipped
                 if key is None or key != self._factor_key:
                     self._factor = scipy.linalg.cho_factor(
-                        self.newton_matrix(jac), lower=True)
+                        self.newton_matrix(jac), lower=True,
+                        check_finite=False)
                     self._factor_key = key
-                step = scipy.linalg.cho_solve(self._factor, -Fx)
-                norm_Fx = _inf_norm(Fx)
+                step = scipy.linalg.cho_solve(self._factor, -Fx,
+                                              check_finite=False)
+                norm_Fx = inf_norm(Fx)
                 t = 1.0
                 while t > 1e-12:
                     x_trial = x + t * step
                     trial = self._f_value(x_trial, x_prev, u_base)
-                    if _inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
+                    if inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
                         break
                     t *= 0.5
                 else:  # no sufficient decrease found; take the full step
@@ -228,7 +229,7 @@ class PpSolver:
                 x = x - self._tau * Fx
                 Fx, u, z = self._f_value(x, x_prev, u_base)
             iters += 1
-            norm = _inf_norm(Fx)
+            norm = inf_norm(Fx)
             if norm < best_norm:
                 best_x, best_norm = x, norm
         return x, g * (u - z), iters, u, z
@@ -275,7 +276,7 @@ class PpSolver:
         if state.n < 1:
             raise ValueError("residuals need at least one completed iteration")
         g = self.config.gamma
-        return _inf_norm(state.dy) / g, _inf_norm(state.dx) / g
+        return inf_norm(state.dy) / g, inf_norm(state.dx) / g
 
     def residual_vectors(self, state: PpState):
         """Both evaluations of each residual identity at this state.
@@ -297,9 +298,9 @@ class PpSolver:
         Ax = P.A @ state.x
         Qx = P.Q @ state.x
         Aty = P.A.T @ state.y
-        eps_prim = cfg.eps_abs + cfg.eps_rel * max(_inf_norm(Ax), _inf_norm(state.z))
+        eps_prim = cfg.eps_abs + cfg.eps_rel * max(inf_norm(Ax), inf_norm(state.z))
         eps_dual = cfg.eps_abs + cfg.eps_rel * max(
-            _inf_norm(Qx), _inf_norm(P.q), _inf_norm(Aty))
+            inf_norm(Qx), inf_norm(P.q), inf_norm(Aty))
         if prim <= eps_prim and dual <= eps_dual:
             return oc.SolveOutcome(
                 status=oc.SOLVED, iterations=state.n,
@@ -308,13 +309,13 @@ class PpSolver:
 
         primal_cert = None
         dual_cert = None
-        if _inf_norm(state.dy) > 0.0:
+        if inf_norm(state.dy) > 0.0:
             ok, metrics = check_primal_certificate(P, state.dy, cfg.eps_pinf)
             if ok:
                 primal_cert = Certificate(
                     kind="primal_infeasibility", vector=state.dy.copy(),
                     metrics={**metrics, "eps": cfg.eps_pinf})
-        if _inf_norm(state.dx) > 0.0:
+        if inf_norm(state.dx) > 0.0:
             ok, metrics = check_dual_certificate(P, state.dx, cfg.eps_dinf)
             if ok:
                 dual_cert = Certificate(
@@ -340,10 +341,10 @@ class PpSolver:
         prim, dual = self.residuals(state)
         return oc.TraceRecord(
             n=state.n, primal_res=prim, dual_res=dual,
-            norm_dx=_inf_norm(state.dx), norm_dy=_inf_norm(state.dy),
-            norm_At_dy=_inf_norm(P.A.T @ state.dy),
+            norm_dx=inf_norm(state.dx), norm_dy=inf_norm(state.dy),
+            norm_At_dy=inf_norm(P.A.T @ state.dy),
             support_dy=float(P.C.support(state.dy, cone_tol=cfg.eps_pinf)),
-            norm_Q_dx=_inf_norm(P.Q @ state.dx),
+            norm_Q_dx=inf_norm(P.Q @ state.dx),
             q_dot_dx=float(P.q @ state.dx),
             dist_rec=P.C.distance_to_recession(P.A @ state.dx),
             inner_iters=state.inner_iters)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, symmetrize
+from .linalg import as_matrix, as_vector, inf_norm, symmetrize
 from .sets import SetDescriptor
 
 Q_SYMMETRY_ATOL = 1e-12
@@ -46,7 +46,7 @@ class ProblemData:
             raise ValueError("problem needs at least one variable and one constraint row")
         self.Q = as_matrix(self.Q, shape=(n, n), name="Q")
         self.q = as_vector(self.q, dim=n, name="q")
-        if np.max(np.abs(self.Q - self.Q.T), initial=0.0) > Q_SYMMETRY_ATOL:
+        if inf_norm(self.Q - self.Q.T) > Q_SYMMETRY_ATOL:
             raise ValueError("Q is not symmetric within tolerance 1e-12")
         self.Q = symmetrize(self.Q)
         if not isinstance(self.C, SetDescriptor):
@@ -55,7 +55,7 @@ class ProblemData:
             raise ValueError(
                 f"constraint set has dimension {self.C.dim}, expected {m}")
         eigs = np.linalg.eigvalsh(self.Q)
-        scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
+        scale = max(1.0, inf_norm(eigs))
         if eigs.size and eigs[0] < -Q_PSD_RTOL * scale:
             raise ValueError("Q is not positive semidefinite")
 
@@ -104,9 +104,8 @@ def kkt_residuals(problem, x, z, y):
     x = as_vector(x, dim=problem.n, name="x")
     z = as_vector(z, dim=problem.m, name="z")
     y = as_vector(y, dim=problem.m, name="y")
-    primal = float(np.max(np.abs(problem.A @ x - z), initial=0.0))
-    dual = float(np.max(np.abs(problem.Q @ x + problem.q + problem.A.T @ y),
-                        initial=0.0))
+    primal = inf_norm(problem.A @ x - z)
+    dual = inf_norm(problem.Q @ x + problem.q + problem.A.T @ y)
     return KktResiduals(primal=primal, dual=dual)
 
 
@@ -121,10 +120,10 @@ def check_primal_certificate(problem, ybar, eps):
     ybar = as_vector(ybar, dim=problem.m, name="ybar")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    norm_y = float(np.max(np.abs(ybar), initial=0.0))
+    norm_y = inf_norm(ybar)
     if norm_y == 0.0:
         raise ValueError("certificate must be nonzero")
-    norm_At_y = float(np.max(np.abs(problem.A.T @ ybar), initial=0.0))
+    norm_At_y = inf_norm(problem.A.T @ ybar)
     support = problem.C.support(ybar, cone_tol=eps)
     metrics = {"norm_At_y": norm_At_y, "support": support}
     ok = norm_At_y <= eps * norm_y and support <= -eps * norm_y
@@ -140,10 +139,10 @@ def check_dual_certificate(problem, xbar, eps):
     xbar = as_vector(xbar, dim=problem.n, name="xbar")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    norm_x = float(np.max(np.abs(xbar), initial=0.0))
+    norm_x = inf_norm(xbar)
     if norm_x == 0.0:
         raise ValueError("certificate must be nonzero")
-    norm_Q_x = float(np.max(np.abs(problem.Q @ xbar), initial=0.0))
+    norm_Q_x = inf_norm(problem.Q @ xbar)
     dist_rec = problem.C.distance_to_recession(problem.A @ xbar)
     q_dot_x = float(problem.q @ xbar)
     metrics = {"norm_Q_x": norm_Q_x, "dist_rec": dist_rec, "q_dot_x": q_dot_x}

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_vector, inf_norm
 
 CONE_MEMBERSHIP_TOL = 1e-12
 
@@ -145,7 +145,7 @@ class SetDescriptor:
             raise ValueError("tolerance must be nonnegative")
         v = self._check_dim(v)
         diff = v - self.project(v)
-        return bool(np.max(np.abs(diff), initial=0.0) <= tol)
+        return bool(inf_norm(diff) <= tol)
 
 
 class Box(SetDescriptor):
@@ -224,7 +224,7 @@ class NonnegativeOrthant(SetDescriptor):
 
     def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
         y = self._check_dim(y)
-        scale = max(1.0, float(np.max(np.abs(y), initial=0.0)))
+        scale = max(1.0, inf_norm(y))
         if self.polar_distance(y) <= cone_tol * scale:
             return 0.0
         return math.inf
@@ -426,11 +426,11 @@ class SecondOrderCone(SetDescriptor):
     def polar_distance(self, y):
         """inf-norm distance of ``y`` from the polar cone ``-K``."""
         neg_proj = -self.project(-np.asarray(y, dtype=float))
-        return float(np.max(np.abs(y - neg_proj), initial=0.0))
+        return inf_norm(y - neg_proj)
 
     def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
         y = self._check_dim(y)
-        scale = max(1.0, float(np.max(np.abs(y), initial=0.0)))
+        scale = max(1.0, inf_norm(y))
         if self.polar_distance(y) <= cone_tol * scale:
             return 0.0
         return math.inf
@@ -483,7 +483,7 @@ class TranslatedCone(SetDescriptor):
 
     def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
         y = self._check_dim(y)
-        scale = max(1.0, float(np.max(np.abs(y), initial=0.0)))
+        scale = max(1.0, inf_norm(y))
         if self.cone.polar_distance(y) <= cone_tol * scale:
             return float(self.offset @ y)
         return math.inf

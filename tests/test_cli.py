@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from splitqp import fileio
-from splitqp.cli import main
+from splitqp.cli import EXIT_BREAKDOWN, EXIT_CODES, main
 from splitqp.instances import SET_FAMILIES, generate
 from splitqp.problem import ProblemData
 from splitqp.sets import Box, Cartesian, SecondOrderCone, TranslatedCone
@@ -266,6 +266,23 @@ def test_solve_bad_file_exit_code(tmp_path):
     path.write_text('{"n": 1')
     assert main(["solve", str(path), "--out", str(tmp_path / "o.json")]) == 2
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
+
+
+def test_inner_breakdown_is_not_an_input_error(tmp_path, capsys):
+    # badly scaled but feasible: PP's inner solve cannot reach its absolute
+    # tolerance floor and gives up
+    P = ProblemData(Q=np.diag([1e-8, 1e8]), q=[1.0, -1e6],
+                    A=[[1e6, 0.0], [0.0, 1e-6], [1.0, 1.0]],
+                    C=Box([-1.0, -1.0, -1e9], [1.0, 1.0, 1e9]))
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, P)
+    out = tmp_path / "o.json"
+    code = main(["solve", str(path), "--solver", "pp", "--out", str(out)])
+    assert code == EXIT_BREAKDOWN == 3
+    assert code not in EXIT_CODES.values()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: inner solve did not reach")
+    assert not out.exists()
 
 
 def test_warm_start_file(tmp_path):

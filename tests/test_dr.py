@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from splitqp.dr import DrConfig, DrSolver, dr_run
 from splitqp.instances import (gen_dual_infeasible, gen_feasible,
@@ -261,3 +262,22 @@ def test_cesaro_consistency_on_infeasible_instance():
     delta = np.concatenate([state.dx, state.dv])
     gap = np.linalg.norm(avg - delta)
     assert gap <= 1e-3 * (1.0 + np.linalg.norm(delta))
+
+
+@pytest.mark.parametrize("gen", [gen_feasible, gen_primal_infeasible,
+                                 gen_dual_infeasible])
+def test_trajectory_matches_default_cho_solve_bitwise(gen):
+    # reference DR loop solving with scipy's checked cho_solve on the
+    # solver's own factor; the lean solve must not move any iterate
+    P = gen(2024, 20, 30, "box_soc").problem
+    solver = DrSolver(P)
+    alpha = solver.config.alpha
+    state = solver.initial_state()
+    x, v = state.x, state.v
+    for _ in range(200):
+        state = solver.step(state)
+        z = P.C.project(v)
+        xt = scipy.linalg.cho_solve(solver._factor._cho,
+                                    x - P.q + P.A.T @ (2.0 * z - v))
+        x, v = x + alpha * (xt - x), v + alpha * (P.A @ xt - z)
+        assert np.array_equal(state.x, x) and np.array_equal(state.v, v)

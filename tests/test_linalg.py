@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from splitqp.linalg import (NotPositiveDefiniteError, adjoint_matvec,
-                            as_vector, matvec, spd_factor, spd_solve,
-                            spectral_norm_est)
+                            as_vector, inf_norm, matvec, spd_factor,
+                            spd_solve, spectral_norm_est)
 
 
 def test_matvec_examples():
@@ -31,6 +32,26 @@ def test_as_vector_rejects_nonfinite():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError, match="non-finite"):
         as_vector([np.inf])
+
+
+def test_as_vector_messages_and_check_order():
+    with pytest.raises(ValueError, match=r"^q must be 1-dimensional, got shape \(1, 1\)$"):
+        as_vector([[np.nan]], dim=3, name="q")
+    # the finiteness check runs before the dimension check
+    with pytest.raises(ValueError, match=r"^q has non-finite entries$"):
+        as_vector([np.nan, 1.0], dim=3, name="q")
+    with pytest.raises(ValueError, match=r"^q has dimension 2, expected 3$"):
+        as_vector([0.0, 1.0], dim=3, name="q")
+    v = np.array([1.0, 2.0])
+    assert as_vector(v, dim=2) is v
+
+
+def test_inf_norm_matches_max_abs():
+    rng = np.random.default_rng(2)
+    for v in (rng.normal(size=17), np.array([-3.0, 2.0]), np.zeros(0),
+              np.array([1.0, np.nan])):
+        expected = float(np.max(np.abs(v), initial=0.0))
+        assert np.array_equal(inf_norm(v), expected, equal_nan=True)
 
 
 def test_spd_factor_examples():
@@ -83,6 +104,34 @@ def test_spd_solve_dimension_mismatch():
     f = spd_factor(np.eye(2))
     with pytest.raises(ValueError):
         spd_solve(f, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 60, 300])
+def test_spd_solve_is_bitwise_cho_solve(n):
+    rng = np.random.default_rng(100 + n)
+    G = rng.normal(size=(n, n))
+    f = spd_factor(G.T @ G + np.eye(n))
+    for _ in range(3):
+        b = rng.normal(size=n)
+        b_in = b.copy()
+        s = f.solve(b)
+        assert np.array_equal(s, scipy.linalg.cho_solve(f._cho, b))
+        assert np.array_equal(b, b_in)  # the right-hand side is not overwritten
+
+
+def test_spd_solve_empty_system():
+    s = spd_solve(spd_factor(np.zeros((0, 0))), [])
+    assert s.shape == (0,) and s.dtype == float
+
+
+def test_spd_solve_rejects_bad_right_hand_side():
+    f = spd_factor([[2.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="right-hand side has dimension 1"):
+        f.solve([1.0])
+    with pytest.raises(ValueError, match="right-hand side has non-finite"):
+        f.solve([1.0, np.inf])
+    with pytest.raises(ValueError, match="right-hand side has non-finite"):
+        f.solve([np.nan, 0.0])
 
 
 @settings(max_examples=100, deadline=None)
