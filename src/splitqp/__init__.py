@@ -7,16 +7,16 @@ watch the differences of consecutive iterates; their limits certify
 primal or dual strong infeasibility when nonzero.
 """
 
-from .dr import DrConfig, DrSolver, DrState, dr_run
+from .dr import DrConfig, DrSolver, dr_run
+from .driver import SolverState, iterate
 from .instances import (InstanceBundle, SplitMix64, cesaro_oracle,
                         cesaro_triple, gen_dual_infeasible, gen_feasible,
                         gen_primal_infeasible, generate)
-from .linalg import (NotPositiveDefiniteError, SpdFactor, adjoint_matvec,
-                     as_matrix, as_vector, matvec, spd_factor, spd_solve,
-                     spectral_norm_est)
+from .linalg import (NotPositiveDefiniteError, SpdFactor, as_matrix,
+                     as_vector, spd_factor, spectral_norm_est)
 from .outcome import (DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE,
                       SOLVED, SolveOutcome, TraceRecord)
-from .pp import InnerSolveError, PpConfig, PpSolver, PpState, pp_run
+from .pp import InnerSolveError, PpConfig, PpSolver, pp_run
 from .problem import (Certificate, KktResiduals, ProblemData,
                       check_dual_certificate, check_primal_certificate,
                       kkt_residuals)
@@ -26,17 +26,17 @@ from .sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
 
 __all__ = [
     "Ball", "Box", "Cartesian", "Certificate", "DrConfig", "DrSolver",
-    "DrState", "DUAL_INFEASIBLE", "Halfspace", "InnerSolveError",
-    "InstanceBundle", "KktResiduals", "MAX_ITERATIONS",
-    "NonnegativeOrthant", "NotPositiveDefiniteError", "PpConfig",
-    "PpSolver", "PpState", "PRIMAL_INFEASIBLE", "ProblemData",
-    "SecondOrderCone", "SetDescriptor", "Singleton", "SolveOutcome",
-    "SOLVED", "SpdFactor", "SplitMix64", "TraceRecord", "TranslatedCone",
-    "Zero", "adjoint_matvec", "as_matrix", "as_vector", "cesaro_oracle",
-    "cesaro_triple", "check_dual_certificate", "check_primal_certificate",
-    "dr_run", "gen_dual_infeasible", "gen_feasible", "gen_primal_infeasible",
-    "generate", "kkt_residuals", "matvec", "pp_run", "spd_factor",
-    "spd_solve", "spectral_norm_est", "whole_space",
+    "DUAL_INFEASIBLE", "Halfspace", "InnerSolveError", "InstanceBundle",
+    "KktResiduals", "MAX_ITERATIONS", "NonnegativeOrthant",
+    "NotPositiveDefiniteError", "PpConfig", "PpSolver", "PRIMAL_INFEASIBLE",
+    "ProblemData", "SecondOrderCone", "SetDescriptor", "Singleton",
+    "SolveOutcome", "SolverState", "SOLVED", "SpdFactor", "SplitMix64",
+    "TraceRecord", "TranslatedCone", "Zero", "as_matrix", "as_vector",
+    "cesaro_oracle", "cesaro_triple", "check_dual_certificate",
+    "check_primal_certificate", "dr_run", "gen_dual_infeasible",
+    "gen_feasible", "gen_primal_infeasible", "generate", "iterate",
+    "kkt_residuals", "pp_run", "spd_factor", "spectral_norm_est",
+    "whole_space",
 ]
 
 __version__ = "0.1.0"

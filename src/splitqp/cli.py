@@ -75,27 +75,21 @@ def _build_parser():
 
 def _cmd_solve(args):
     problem, _ = fileio.load_problem(args.path)
+    loop = dict(eps_abs=args.eps_abs, eps_rel=args.eps_rel,
+                eps_pinf=args.eps_pinf, eps_dinf=args.eps_dinf,
+                max_iter=args.max_iter, check_interval=args.check_interval)
     if args.solver == "dr":
-        config = DrConfig(
-            alpha=args.alpha, eps_abs=args.eps_abs, eps_rel=args.eps_rel,
-            eps_pinf=args.eps_pinf, eps_dinf=args.eps_dinf,
-            max_iter=args.max_iter, check_interval=args.check_interval)
-        solver = DrSolver(problem, config)
-        warm = (fileio.load_warm(args.warm, "x", "v", problem.n, problem.m)
-                if args.warm else None)
+        config = DrConfig(alpha=args.alpha, **loop)
+        solver_cls, dual_key = DrSolver, "v"
     else:
-        config = PpConfig(
-            gamma=args.gamma, eps_abs=args.eps_abs, eps_rel=args.eps_rel,
-            eps_pinf=args.eps_pinf, eps_dinf=args.eps_dinf,
-            max_iter=args.max_iter, check_interval=args.check_interval)
-        solver = PpSolver(problem, config)
-        warm = (fileio.load_warm(args.warm, "x", "y", problem.n, problem.m)
-                if args.warm else None)
-
+        config = PpConfig(gamma=args.gamma, **loop)
+        solver_cls, dual_key = PpSolver, "y"
+    solver = solver_cls(problem, config)
+    warm = (fileio.load_warm(args.warm, "x", dual_key, problem.n, problem.m)
+            if args.warm else None)
     result = solver.run(warm=warm, collect_trace=args.trace is not None)
     if args.trace:
-        fileio.write_trace_csv(args.trace, result.residual_history,
-                               include_inner=(args.solver == "pp"))
+        fileio.write_trace_csv(args.trace, result.residual_history)
     config_echo = {"solver": args.solver, **dataclasses.asdict(config)}
     text = fileio.dumps_outcome(result, config_echo)
     if args.out:

@@ -361,8 +361,13 @@ TRACE_COLUMNS = ["iter", "primal_res", "dual_res", "norm_dx", "norm_dy",
                  "dist_rec"]
 
 
-def write_trace_csv(path, records, include_inner=False):
-    """Trace CSV with a mandatory header; support_dy renders inf as 'inf'."""
+def write_trace_csv(path, records):
+    """Trace CSV with a mandatory header; support_dy renders inf as 'inf'.
+
+    An ``inner_iters`` column follows when the records carry inner
+    iteration counts (PP traces).
+    """
+    include_inner = bool(records) and records[0].inner_iters is not None
     columns = TRACE_COLUMNS + (["inner_iters"] if include_inner else [])
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")

@@ -51,28 +51,6 @@ def inf_norm(v):
     return float(np.abs(v).max(initial=0.0))
 
 
-def matvec(M, x):
-    """Return ``M @ x`` with dimension checking."""
-    M = as_matrix(M)
-    x = as_vector(x)
-    if M.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, "
-            f"vector has dimension {x.shape[0]}")
-    return M @ x
-
-
-def adjoint_matvec(M, y):
-    """Return ``M.T @ y`` with dimension checking."""
-    M = as_matrix(M)
-    y = as_vector(y)
-    if M.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, "
-            f"vector has dimension {y.shape[0]}")
-    return M.T @ y
-
-
 def symmetrize(M):
     """Return ``(M + M.T) / 2``; guards against file round-trip noise."""
     return 0.5 * (M + M.T)
@@ -128,11 +106,6 @@ def spd_factor(M):
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: {exc}") from exc
     return SpdFactor(S, cho)
-
-
-def spd_solve(factor, b):
-    """Solve ``factor.matrix @ s = b`` using the cached factorization."""
-    return factor.solve(b)
 
 
 def spectral_norm_est(M, iters=100, tol=1e-12):

@@ -49,9 +49,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from . import outcome as oc
+from . import driver
+from .driver import SolverState
 from .linalg import inf_norm, spectral_norm_est
-from .problem import (Certificate, ProblemData, check_dual_certificate,
+from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
 
 INNER_METHODS = ("semismooth_newton", "damped_fixed_point")
@@ -96,37 +97,18 @@ class PpConfig:
             raise ValueError("inner_tol_abs must be positive")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be at least 1")
-        for name in ("eps_abs", "eps_rel", "eps_pinf", "eps_dinf"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.check_interval < 1:
-            raise ValueError("check_interval must be at least 1")
-
-
-@dataclass
-class PpState:
-    """Outer iterates plus auxiliary split and cached differences.
-
-    ``v = A x + y_prev / gamma`` and ``z = Pi_C(v)``, so that
-    ``y = gamma (v - z)`` holds exactly for every state with ``n >= 1``.
-    """
-
-    n: int
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    z: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    dv: np.ndarray
-    dz: np.ndarray
-    inner_iters: int = 0
+        driver.validate_loop_config(self)
 
 
 class PpSolver:
-    """Drives the outer resolvent loop; one handle per run."""
+    """Takes resolvent steps; :mod:`driver` runs the loop. One handle per run.
+
+    States keep ``v = A x + y_prev / gamma`` and ``z = Pi_C(v)``, so that
+    ``y = gamma (v - z)`` holds exactly for every state with ``n >= 1``.
+    """
+
+    trace_record = driver.trace_record
+    run = driver.run
 
     def __init__(self, problem: ProblemData, config: PpConfig = None):
         self.problem = problem
@@ -246,39 +228,31 @@ class PpSolver:
     def initial_state(self, warm=None):
         """Cold start at zero, or warm start from a given ``(x, y)`` pair."""
         P, g = self.problem, self.config.gamma
-        if warm is None:
-            x = np.zeros(P.n)
-            y = np.zeros(P.m)
-        else:
-            x0, y0 = warm
-            x = np.asarray(x0, dtype=float).copy()
-            y = np.asarray(y0, dtype=float).copy()
-            if x.shape != (P.n,) or y.shape != (P.m,):
-                raise ValueError("warm start dimensions do not match problem")
+        x, y = driver.warm_start(P, warm)
         v = P.A @ x + y / g
         z = P.C.project(v)
-        return PpState(n=0, x=x, y=y, v=v, z=z,
-                       dx=np.zeros(P.n), dy=np.zeros(P.m),
-                       dv=np.zeros(P.m), dz=np.zeros(P.m))
+        return SolverState(n=0, x=x, y=y, v=v, z=z,
+                           dx=np.zeros(P.n), dy=np.zeros(P.m),
+                           dv=np.zeros(P.m), dz=np.zeros(P.m), inner_iters=0)
 
-    def step(self, state: PpState) -> PpState:
+    def step(self, state: SolverState) -> SolverState:
         tol = self._effective_inner_tol(state)
         x_next, y_next, iters, v_next, z_next = self.resolvent_solve(
             state.x, state.y, tol)
-        return PpState(
+        return SolverState(
             n=state.n + 1, x=x_next, y=y_next, v=v_next, z=z_next,
             dx=x_next - state.x, dy=y_next - state.y,
             dv=v_next - state.v, dz=z_next - state.z,
             inner_iters=iters)
 
-    def residuals(self, state: PpState):
+    def residuals(self, state: SolverState):
         """Residual norms from the scaled differences."""
         if state.n < 1:
             raise ValueError("residuals need at least one completed iteration")
         g = self.config.gamma
         return inf_norm(state.dy) / g, inf_norm(state.dx) / g
 
-    def residual_vectors(self, state: PpState):
+    def residual_vectors(self, state: SolverState):
         """Both evaluations of each residual identity at this state.
 
         Returns ``(prim_delta, dual_delta, prim_direct, dual_direct)``;
@@ -292,86 +266,12 @@ class PpSolver:
         dual_direct = P.Q @ state.x + P.q + g * (P.A.T @ (state.v - state.z))
         return prim_delta, dual_delta, prim_direct, dual_direct
 
-    def check_termination(self, state: PpState):
-        P, cfg = self.problem, self.config
-        prim, dual = self.residuals(state)
-        Ax = P.A @ state.x
-        Qx = P.Q @ state.x
-        Aty = P.A.T @ state.y
-        eps_prim = cfg.eps_abs + cfg.eps_rel * max(inf_norm(Ax), inf_norm(state.z))
-        eps_dual = cfg.eps_abs + cfg.eps_rel * max(
-            inf_norm(Qx), inf_norm(P.q), inf_norm(Aty))
-        if prim <= eps_prim and dual <= eps_dual:
-            return oc.SolveOutcome(
-                status=oc.SOLVED, iterations=state.n,
-                x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
-                residuals=(prim, dual))
+    stopping_residuals = residuals
 
-        primal_cert = None
-        dual_cert = None
-        if inf_norm(state.dy) > 0.0:
-            ok, metrics = check_primal_certificate(P, state.dy, cfg.eps_pinf)
-            if ok:
-                primal_cert = Certificate(
-                    kind="primal_infeasibility", vector=state.dy.copy(),
-                    metrics={**metrics, "eps": cfg.eps_pinf})
-        if inf_norm(state.dx) > 0.0:
-            ok, metrics = check_dual_certificate(P, state.dx, cfg.eps_dinf)
-            if ok:
-                dual_cert = Certificate(
-                    kind="dual_infeasibility", vector=state.dx.copy(),
-                    metrics={**metrics, "eps": cfg.eps_dinf})
-        if primal_cert is not None:
-            extra = {}
-            if dual_cert is not None:
-                extra["secondary_certificate"] = dual_cert
-            return oc.SolveOutcome(
-                status=oc.PRIMAL_INFEASIBLE, iterations=state.n,
-                x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
-                certificate=primal_cert, residuals=(prim, dual), extra=extra)
-        if dual_cert is not None:
-            return oc.SolveOutcome(
-                status=oc.DUAL_INFEASIBLE, iterations=state.n,
-                x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
-                certificate=dual_cert, residuals=(prim, dual))
-        return None
-
-    def trace_record(self, state: PpState):
-        P, cfg = self.problem, self.config
-        prim, dual = self.residuals(state)
-        return oc.TraceRecord(
-            n=state.n, primal_res=prim, dual_res=dual,
-            norm_dx=inf_norm(state.dx), norm_dy=inf_norm(state.dy),
-            norm_At_dy=inf_norm(P.A.T @ state.dy),
-            support_dy=float(P.C.support(state.dy, cone_tol=cfg.eps_pinf)),
-            norm_Q_dx=inf_norm(P.Q @ state.dx),
-            q_dot_dx=float(P.q @ state.dx),
-            dist_rec=P.C.distance_to_recession(P.A @ state.dx),
-            inner_iters=state.inner_iters)
-
-    def run(self, warm=None, collect_trace=False):
-        cfg = self.config
-        state = self.initial_state(warm)
-        history = [] if collect_trace else None
-        for _ in range(cfg.max_iter):
-            state = self.step(state)
-            if collect_trace:
-                history.append(self.trace_record(state))
-            if state.n >= 2 and state.n % cfg.check_interval == 0:
-                result = self.check_termination(state)
-                if result is not None:
-                    result.residual_history = history
-                    return result
-        if state.n >= 2:
-            result = self.check_termination(state)
-            if result is not None:
-                result.residual_history = history
-                return result
-        prim, dual = self.residuals(state)
-        return oc.SolveOutcome(
-            status=oc.MAX_ITERATIONS, iterations=state.n,
-            x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
-            residuals=(prim, dual), residual_history=history)
+    def check_termination(self, state: SolverState):
+        """The driver's tests, with this module's certificate checkers."""
+        return driver.terminate(self, state, check_primal_certificate,
+                                check_dual_certificate)
 
 
 def pp_run(problem, config=None, warm=None, collect_trace=False):

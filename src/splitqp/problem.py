@@ -18,7 +18,6 @@ threshold is ``eps`` times the inf-norm of the candidate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,17 +150,3 @@ def check_dual_certificate(problem, xbar, eps):
           and q_dot_x <= -eps * norm_x)
     return ok, metrics
 
-
-def certificate_metrics(problem, certificate):
-    """Recompute a certificate's metrics from its vector."""
-    if certificate.kind == "primal_infeasibility":
-        eps = certificate.metrics.get("eps", 1e-6)
-        _, metrics = check_primal_certificate(problem, certificate.vector, eps)
-    elif certificate.kind == "dual_infeasibility":
-        eps = certificate.metrics.get("eps", 1e-6)
-        _, metrics = check_dual_certificate(problem, certificate.vector, eps)
-    else:
-        raise ValueError(f"unknown certificate kind {certificate.kind!r}")
-    if math.isinf(metrics.get("support", 0.0)):
-        metrics["support"] = math.inf
-    return metrics

@@ -139,14 +139,6 @@ class SetDescriptor:
         d = self._check_dim(d)
         return float(np.linalg.norm(d - self.project_recession(d)))
 
-    def contains(self, v, tol):
-        """True iff ``v`` is within ``tol`` (inf-norm) of its projection."""
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        v = self._check_dim(v)
-        diff = v - self.project(v)
-        return bool(inf_norm(diff) <= tol)
-
 
 class Box(SetDescriptor):
     """Axis-aligned box ``{v : lower <= v <= upper}``.

@@ -3,8 +3,10 @@ import pytest
 import scipy.linalg
 
 from splitqp.dr import DrConfig, DrSolver, dr_run
+from splitqp.driver import iterate
 from splitqp.instances import (gen_dual_infeasible, gen_feasible,
                                gen_primal_infeasible)
+from splitqp.outcome import MAX_ITERATIONS
 from splitqp.problem import ProblemData
 from splitqp.sets import Box, Zero
 
@@ -25,9 +27,9 @@ def unbounded_problem():
 
 def test_setup_subproblem_matrix():
     P = ProblemData(Q=np.zeros((1, 1)), q=[0.0], A=[[1.0]], C=Box([0.0], [1.0]))
-    assert np.allclose(DrSolver(P).subproblem_matrix, [[2.0]])
+    assert np.allclose(DrSolver(P)._factor.matrix, [[2.0]])
     P2 = ProblemData(Q=np.eye(1), q=[0.0], A=[[1.0]], C=Box([0.0], [1.0]))
-    assert np.allclose(DrSolver(P2).subproblem_matrix, [[3.0]])
+    assert np.allclose(DrSolver(P2)._factor.matrix, [[3.0]])
 
 
 def test_alpha_out_of_range():
@@ -114,7 +116,7 @@ def test_residuals_decrease_on_feasible_instance():
     values = []
     for _ in range(11):
         state = solver.step(state)
-        values.append(max(solver.current_residuals(state)))
+        values.append(max(solver.stopping_residuals(state)))
     assert all(values[i + 1] < values[i] for i in range(10))
 
 
@@ -227,15 +229,11 @@ def test_trace_records():
     assert rec.inner_iters is None
 
 
-def _detect(solver, cfg):
-    state = solver.initial_state()
-    for _ in range(cfg.max_iter):
-        state = solver.step(state)
-        if state.n >= 2 and state.n % cfg.check_interval == 0:
-            out = solver.check_termination(state)
-            if out is not None:
-                return out, state
-    raise AssertionError("no detection within the iteration budget")
+def _detect(solver):
+    for state, out in iterate(solver):
+        pass
+    assert out.status != MAX_ITERATIONS, "no detection within the budget"
+    return out, state
 
 
 def test_structural_limits_at_detection():
@@ -244,7 +242,7 @@ def test_structural_limits_at_detection():
             b = gen(base + i, 3 + i, 5 + i, fam)
             P = b.problem
             cfg = DrConfig()
-            _, state = _detect(DrSolver(P, cfg), cfg)
+            _, state = _detect(DrSolver(P, cfg))
             dx, dy, dz = state.dx, state.dy, state.dz
             assert np.max(np.abs(P.Q @ dx)) <= 1e-5 * (1 + np.max(np.abs(dx)))
             assert np.max(np.abs(P.A.T @ dy)) <= 1e-5 * (1 + np.max(np.abs(dy)))

@@ -1,0 +1,225 @@
+"""The shared driver against the per-solver loops it replaced.
+
+``_reference_run`` is the run loop each solver used to carry, and
+``_reference_check`` / ``_reference_trace`` the termination test and
+trace record; the DR versions took the residuals directly at the
+iterate, the PP versions from the scaled differences. The driver must
+reproduce them bitwise on every schedule edge.
+"""
+
+import numpy as np
+import pytest
+
+from splitqp import outcome as oc
+from splitqp.dr import DrConfig, DrSolver
+from splitqp.driver import SolverState, iterate
+from splitqp.instances import SET_FAMILIES, generate
+from splitqp.linalg import inf_norm
+from splitqp.pp import PpConfig, PpSolver
+from splitqp.problem import (Certificate, ProblemData,
+                             check_dual_certificate, check_primal_certificate)
+from splitqp.sets import Box
+
+KINDS = ("feasible", "primal_infeasible", "dual_infeasible")
+# the last two end some runs with a detection at the check after the
+# final step, off the check_interval grid
+SCHEDULES = [dict(), dict(max_iter=1), dict(max_iter=400, check_interval=1),
+             dict(max_iter=37, check_interval=7),
+             dict(max_iter=150, check_interval=40)]
+
+
+def _reference_residuals(solver, state):
+    if isinstance(solver, DrSolver):
+        P = solver.problem
+        prim = inf_norm(P.A @ state.x - state.z)
+        dual = inf_norm(P.Q @ state.x + P.q + P.A.T @ state.y)
+        return prim, dual
+    return solver.residuals(state)
+
+
+def _reference_check(self, state):
+    P, cfg = self.problem, self.config
+    Ax = P.A @ state.x
+    Qx = P.Q @ state.x
+    Aty = P.A.T @ state.y
+    if isinstance(self, DrSolver):
+        prim = inf_norm(Ax - state.z)
+        dual = inf_norm(Qx + P.q + Aty)
+    else:
+        prim, dual = self.residuals(state)
+    eps_prim = cfg.eps_abs + cfg.eps_rel * max(inf_norm(Ax), inf_norm(state.z))
+    eps_dual = cfg.eps_abs + cfg.eps_rel * max(
+        inf_norm(Qx), inf_norm(P.q), inf_norm(Aty))
+    if prim <= eps_prim and dual <= eps_dual:
+        return oc.SolveOutcome(
+            status=oc.SOLVED, iterations=state.n,
+            x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
+            residuals=(prim, dual))
+
+    primal_cert = None
+    dual_cert = None
+    if inf_norm(state.dy) > 0.0:
+        ok, metrics = check_primal_certificate(P, state.dy, cfg.eps_pinf)
+        if ok:
+            primal_cert = Certificate(
+                kind="primal_infeasibility", vector=state.dy.copy(),
+                metrics={**metrics, "eps": cfg.eps_pinf})
+    if inf_norm(state.dx) > 0.0:
+        ok, metrics = check_dual_certificate(P, state.dx, cfg.eps_dinf)
+        if ok:
+            dual_cert = Certificate(
+                kind="dual_infeasibility", vector=state.dx.copy(),
+                metrics={**metrics, "eps": cfg.eps_dinf})
+    if primal_cert is not None:
+        extra = {}
+        if dual_cert is not None:
+            extra["secondary_certificate"] = dual_cert
+        return oc.SolveOutcome(
+            status=oc.PRIMAL_INFEASIBLE, iterations=state.n,
+            x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
+            certificate=primal_cert, residuals=(prim, dual), extra=extra)
+    if dual_cert is not None:
+        return oc.SolveOutcome(
+            status=oc.DUAL_INFEASIBLE, iterations=state.n,
+            x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
+            certificate=dual_cert, residuals=(prim, dual))
+    return None
+
+
+def _reference_trace(self, state):
+    P, cfg = self.problem, self.config
+    prim, dual = _reference_residuals(self, state)
+    return oc.TraceRecord(
+        n=state.n, primal_res=prim, dual_res=dual,
+        norm_dx=inf_norm(state.dx), norm_dy=inf_norm(state.dy),
+        norm_At_dy=inf_norm(P.A.T @ state.dy),
+        support_dy=float(P.C.support(state.dy, cone_tol=cfg.eps_pinf)),
+        norm_Q_dx=inf_norm(P.Q @ state.dx),
+        q_dot_dx=float(P.q @ state.dx),
+        dist_rec=P.C.distance_to_recession(P.A @ state.dx),
+        inner_iters=state.inner_iters)
+
+
+def _reference_run(self, warm=None, collect_trace=False):
+    cfg = self.config
+    state = self.initial_state(warm)
+    history = [] if collect_trace else None
+    for _ in range(cfg.max_iter):
+        state = self.step(state)
+        if collect_trace:
+            history.append(_reference_trace(self, state))
+        if state.n >= 2 and state.n % cfg.check_interval == 0:
+            result = _reference_check(self, state)
+            if result is not None:
+                result.residual_history = history
+                return result
+    if state.n >= 2:
+        result = _reference_check(self, state)
+        if result is not None:
+            result.residual_history = history
+            return result
+    prim, dual = _reference_residuals(self, state)
+    return oc.SolveOutcome(
+        status=oc.MAX_ITERATIONS, iterations=state.n,
+        x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
+        residuals=(prim, dual), residual_history=history)
+
+
+def _assert_same_certificate(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.kind == b.kind
+        assert np.array_equal(a.vector, b.vector)
+        assert a.metrics == b.metrics
+
+
+def _assert_same_outcome(got, ref):
+    assert (got.status, got.iterations) == (ref.status, ref.iterations)
+    for name in ("x", "z", "y"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    assert got.residuals == ref.residuals
+    _assert_same_certificate(got.certificate, ref.certificate)
+    assert got.extra.keys() == ref.extra.keys()
+    _assert_same_certificate(got.extra.get("secondary_certificate"),
+                             ref.extra.get("secondary_certificate"))
+    assert got.residual_history == ref.residual_history
+
+
+@pytest.mark.parametrize("n", [5, 20])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("solver_cls,config_cls",
+                         [(DrSolver, DrConfig), (PpSolver, PpConfig)])
+def test_run_matches_reference_loop_bitwise(solver_cls, config_cls, kind, n):
+    for f, family in enumerate(SET_FAMILIES):
+        P = generate(kind, 700 + 10 * n + f, n, n + 3, family).problem
+        for schedule in SCHEDULES:
+            cfg = config_cls(**schedule)
+            got = solver_cls(P, cfg).run(collect_trace=True)
+            ref = _reference_run(solver_cls(P, cfg), collect_trace=True)
+            _assert_same_outcome(got, ref)
+            assert got.iterations <= cfg.max_iter
+
+
+@pytest.mark.parametrize("solver_cls", [DrSolver, PpSolver])
+def test_simultaneous_certificates_match_reference(solver_cls):
+    # x1 in [1, 2] and in [3, 4]; x2 >= 0 with q2 < 0 and Q = 0
+    P = ProblemData(Q=np.zeros((2, 2)), q=[0.0, -1.0],
+                    A=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                    C=Box([1.0, 3.0, 0.0], [2.0, 4.0, np.inf]))
+    got = solver_cls(P).run(collect_trace=True)
+    assert got.status == oc.PRIMAL_INFEASIBLE
+    assert got.extra["secondary_certificate"].kind == "dual_infeasibility"
+    _assert_same_outcome(got, _reference_run(solver_cls(P), collect_trace=True))
+
+
+@pytest.mark.parametrize("solver_cls", [DrSolver, PpSolver])
+def test_warm_started_run_matches_reference(solver_cls):
+    rng = np.random.default_rng(17)
+    P = generate("primal_infeasible", 91, 6, 9, "box_soc").problem
+    warm = (rng.normal(size=P.n), rng.normal(size=P.m))
+    solver = solver_cls(P)
+    _assert_same_outcome(solver.run(warm=warm),
+                         _reference_run(solver_cls(P), warm=warm))
+    assert np.array_equal(warm[0], solver.initial_state(warm).x)
+    assert solver.initial_state(warm).x is not warm[0]
+
+
+@pytest.mark.parametrize("solver_cls,config_cls",
+                         [(DrSolver, DrConfig), (PpSolver, PpConfig)])
+def test_iterate_yields_every_state_and_one_outcome(solver_cls, config_cls):
+    P = generate("dual_infeasible", 3, 4, 6, "orthant").problem
+    for schedule in SCHEDULES[1:4]:
+        pairs = list(iterate(solver_cls(P, config_cls(**schedule))))
+        assert [s.n for s, _ in pairs] == list(range(1, len(pairs) + 1))
+        assert all(out is None for _, out in pairs[:-1])
+        state, out = pairs[-1]
+        assert isinstance(state, SolverState)
+        assert out.iterations == state.n
+        assert out.residual_history is None
+
+
+def test_state_records_inner_iterations_for_pp_only():
+    P = generate("feasible", 4, 3, 5, "box").problem
+    (dr_state, _), = iterate(DrSolver(P, DrConfig(max_iter=1)))
+    (pp_state, _), = iterate(PpSolver(P, PpConfig(max_iter=1)))
+    assert dr_state.inner_iters is None
+    assert pp_state.inner_iters >= 1
+
+
+@pytest.mark.parametrize("config_cls", [DrConfig, PpConfig])
+def test_loop_config_validation(config_cls):
+    for field in ("eps_abs", "eps_rel", "eps_pinf", "eps_dinf"):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            config_cls(**{field: 0.0})
+    for field in ("max_iter", "check_interval"):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            config_cls(**{field: 0})
+
+
+@pytest.mark.parametrize("solver_cls", [DrSolver, PpSolver])
+def test_warm_start_shape_is_checked(solver_cls):
+    P = generate("feasible", 5, 3, 5, "box").problem
+    with pytest.raises(ValueError, match="warm start dimensions"):
+        solver_cls(P).initial_state((np.zeros(3), np.zeros(4)))
+    with pytest.raises(ValueError, match="warm start dimensions"):
+        solver_cls(P).initial_state((np.zeros((3, 1)), np.zeros(5)))

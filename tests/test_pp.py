@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from splitqp.dr import dr_run
+from splitqp.driver import iterate
 from splitqp.instances import (gen_dual_infeasible, gen_feasible,
                                gen_primal_infeasible)
 from splitqp.pp import InnerSolveError, PpConfig, PpSolver, pp_run
+from splitqp.outcome import MAX_ITERATIONS
 from splitqp.problem import ProblemData
 from splitqp.sets import Box, whole_space
 
@@ -232,15 +234,11 @@ def test_trace_records_include_inner_iterations():
     assert result.residual_history[0].inner_iters >= 1
 
 
-def _detect(solver, cfg):
-    state = solver.initial_state()
-    for _ in range(cfg.max_iter):
-        state = solver.step(state)
-        if state.n >= 2 and state.n % cfg.check_interval == 0:
-            out = solver.check_termination(state)
-            if out is not None:
-                return out, state
-    raise AssertionError("no detection within the iteration budget")
+def _detect(solver):
+    for state, out in iterate(solver):
+        pass
+    assert out.status != MAX_ITERATIONS, "no detection within the budget"
+    return out, state
 
 
 def test_structural_limits_at_detection():
@@ -249,7 +247,7 @@ def test_structural_limits_at_detection():
             b = gen(base + i, 3 + i, 5 + i, fam)
             P = b.problem
             cfg = PpConfig()
-            _, state = _detect(PpSolver(P, cfg), cfg)
+            _, state = _detect(PpSolver(P, cfg))
             dx, dy, dz = state.dx, state.dy, state.dz
             assert np.max(np.abs(P.Q @ dx)) <= 1e-5 * (1 + np.max(np.abs(dx)))
             assert np.max(np.abs(P.A.T @ dy)) <= 1e-5 * (1 + np.max(np.abs(dy)))

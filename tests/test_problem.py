@@ -121,18 +121,6 @@ def test_generated_truths_pass_checkers():
         assert max(r.primal, r.dual) <= 1e-9
 
 
-def test_certificate_metrics_recompute_from_vector():
-    from splitqp.dr import dr_run
-    from splitqp.problem import certificate_metrics
-    P = ProblemData(Q=np.zeros((1, 1)), q=[0.0], A=[[1.0], [1.0]],
-                    C=Box([1.0, 3.0], [2.0, 4.0]))
-    result = dr_run(P)
-    cert = result.certificate
-    recomputed = certificate_metrics(P, cert)
-    for key, value in recomputed.items():
-        assert abs(value - cert.metrics[key]) <= 1e-12
-
-
 def test_exclusivity_on_interior_feasible_instances():
     # solver differences on a strictly feasible problem never look like
     # certificates
