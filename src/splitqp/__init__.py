@@ -9,9 +9,8 @@ primal or dual strong infeasibility when nonzero.
 
 from .dr import DrConfig, DrSolver, dr_run
 from .driver import SolverState, iterate
-from .instances import (InstanceBundle, SplitMix64, cesaro_oracle,
-                        cesaro_triple, gen_dual_infeasible, gen_feasible,
-                        gen_primal_infeasible, generate)
+from .instances import (InstanceBundle, SplitMix64, gen_dual_infeasible,
+                        gen_feasible, gen_primal_infeasible, generate)
 from .linalg import (NotPositiveDefiniteError, SpdFactor, as_matrix,
                      as_vector, spd_factor, spectral_norm_est)
 from .outcome import (DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE,
@@ -32,11 +31,10 @@ __all__ = [
     "ProblemData", "SecondOrderCone", "SetDescriptor", "Singleton",
     "SolveOutcome", "SolverState", "SOLVED", "SpdFactor", "SplitMix64",
     "TraceRecord", "TranslatedCone", "Zero", "as_matrix", "as_vector",
-    "cesaro_oracle", "cesaro_triple", "check_dual_certificate",
-    "check_primal_certificate", "dr_run", "gen_dual_infeasible",
-    "gen_feasible", "gen_primal_infeasible", "generate", "iterate",
-    "kkt_residuals", "pp_run", "spd_factor", "spectral_norm_est",
-    "whole_space",
+    "check_dual_certificate", "check_primal_certificate", "dr_run",
+    "gen_dual_infeasible", "gen_feasible", "gen_primal_infeasible",
+    "generate", "iterate", "kkt_residuals", "pp_run", "spd_factor",
+    "spectral_norm_est", "whole_space",
 ]
 
 __version__ = "0.1.0"

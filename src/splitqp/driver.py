@@ -127,24 +127,22 @@ def trace_record(solver, state):
 def iterate(solver, warm=None):
     """Step from ``solver.initial_state(warm)``, yielding ``(state, outcome)``.
 
-    After step ``n`` the termination tests run when ``n >= 2`` and ``n``
-    is a multiple of ``check_interval``, and again after step
-    ``max_iter``. ``outcome`` is None on every pair but the last, which
-    carries the first test that passed, or ``max_iterations``.
+    After step ``n`` the termination tests run once when ``n >= 2`` and
+    ``n`` is a multiple of ``check_interval`` or equals ``max_iter``.
+    ``outcome`` is None on every pair but the last, which carries the
+    first test that passed, or ``max_iterations``.
     """
     cfg = solver.config
     state = solver.initial_state(warm)
     while True:
         state = solver.step(state)
         outcome = None
-        if state.n >= 2 and state.n % cfg.check_interval == 0:
+        if state.n >= 2 and (state.n >= cfg.max_iter
+                             or state.n % cfg.check_interval == 0):
             outcome = solver.check_termination(state)
         if outcome is None and state.n >= cfg.max_iter:
-            if state.n >= 2:
-                outcome = solver.check_termination(state)
-            if outcome is None:
-                outcome = _outcome(state, oc.MAX_ITERATIONS,
-                                   solver.stopping_residuals(state))
+            outcome = _outcome(state, oc.MAX_ITERATIONS,
+                               solver.stopping_residuals(state))
         yield state, outcome
         if outcome is not None:
             return

@@ -1,4 +1,4 @@
-"""Generators for problems with analytic ground truth, plus asymptotics oracles.
+"""Generators for problems with analytic ground truth.
 
 Randomness comes from a SplitMix64 stream so the same seed reproduces
 the same instance bit-for-bit, in any implementation of the generator:
@@ -35,7 +35,7 @@ import numpy as np
 from .linalg import spectral_norm_est
 from .problem import ProblemData
 from .sets import (Box, Cartesian, NonnegativeOrthant, SecondOrderCone,
-                   SetDescriptor, TranslatedCone, Zero)
+                   TranslatedCone)
 
 SET_FAMILIES = ("box", "orthant", "translated_cone", "box_soc")
 
@@ -430,67 +430,3 @@ def generate(kind, seed, n, m, set_family="box"):
     if kind == "dual_infeasible":
         return gen_dual_infeasible(seed, n, m, set_family)
     raise ValueError(f"unknown instance kind {kind!r}")
-
-
-def cesaro_oracle(S, delta_s, s0, n):
-    """Numerical witnesses for the averaged projection limits.
-
-    With ``s_n = s0 + n * delta_s`` returns the triple
-
-        ((1/n) proj_S(s_n),  (1/n) (s_n - proj_S(s_n)),
-         (1/n) <proj_S(s_n), s_n - proj_S(s_n)>)
-
-    which converge to ``project_recession(S, delta_s)``,
-    ``project_polar_recession(S, delta_s)``, and
-    ``support(S, project_polar_recession(S, delta_s))``.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    delta_s = np.asarray(delta_s, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
-    if delta_s.shape != (S.dim,) or s0.shape != (S.dim,):
-        raise ValueError("direction and start must match the set dimension")
-    s_n = s0 + float(n) * delta_s
-    p = S.project(s_n)
-    r = s_n - p
-    return p / n, r / n, float(p @ r) / n
-
-
-def cesaro_triple(seed, kind):
-    """A seeded (set, direction, start) triple for asymptotics tests."""
-    rng = SplitMix64(seed)
-    dim = 2 + rng.next_u64() % 4
-    if kind == "box":
-        z = rng.vector(dim)
-        S, _ = _box_around(rng, z)
-    elif kind == "orthant":
-        S = NonnegativeOrthant(dim)
-    elif kind == "zero":
-        S = Zero(dim)
-    elif kind == "singleton":
-        from .sets import Singleton
-        S = Singleton(rng.vector(dim))
-    elif kind == "halfspace":
-        from .sets import Halfspace
-        normal = rng.vector(dim)
-        while float(np.linalg.norm(normal)) < 1e-3:
-            normal = rng.vector(dim)
-        S = Halfspace(normal, rng.symmetric())
-    elif kind == "ball":
-        from .sets import Ball
-        S = Ball(rng.vector(dim), rng.uniform_in(0.2, 2.0))
-    elif kind == "soc":
-        S = SecondOrderCone(dim)
-    elif kind == "translated_cone":
-        inner = (NonnegativeOrthant(dim) if rng.uniform() < 0.5
-                 else SecondOrderCone(dim))
-        S = TranslatedCone(rng.vector(dim), inner)
-    elif kind == "cartesian":
-        z = rng.vector(dim)
-        box, _ = _box_around(rng, z)
-        S = Cartesian([box, SecondOrderCone(1 + rng.next_u64() % 3)])
-    else:
-        raise ValueError(f"unknown descriptor kind {kind!r}")
-    delta_s = rng.vector(S.dim)
-    s0 = rng.vector(S.dim)
-    return S, delta_s, s0

@@ -7,10 +7,9 @@ operator: given ``(x_n, y_n)`` it finds the unique root of
            + gamma^2 A.T (Id - Pi_C)(A x + y_n / gamma)
 
 and then sets ``y_n+1 = gamma (Id - Pi_C)(A x_n+1 + y_n / gamma)``. F is
-strongly monotone with modulus one, so the root is unique. Two inner
-methods are available: a semismooth Newton iteration using the
-projection's generalized derivative (default), and a damped fixed-point
-iteration with step ``1 / (1 + gamma ||Q|| + gamma^2 ||A||^2)``.
+strongly monotone with modulus one, so the root is unique. The inner
+solve is a semismooth Newton iteration using the projection's
+generalized derivative.
 
 The Newton matrix is ``J = I + gamma Q + gamma^2 A.T (I - D) A`` with D the
 structured projection Jacobian (``sets.ProjectionJacobian``): a 0/1 mask
@@ -51,11 +50,9 @@ import scipy.linalg
 
 from . import driver
 from .driver import SolverState
-from .linalg import inf_norm, spectral_norm_est
+from .linalg import inf_norm
 from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
-
-INNER_METHODS = ("semismooth_newton", "damped_fixed_point")
 
 
 class InnerSolveError(RuntimeError):
@@ -78,7 +75,6 @@ class PpConfig:
     """
 
     gamma: float = 1.0
-    inner_method: str = "semismooth_newton"
     inner_tol_abs: Optional[float] = None
     inner_max_iter: int = 1000
     eps_abs: float = 1e-6
@@ -91,8 +87,6 @@ class PpConfig:
     def __post_init__(self):
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if self.inner_method not in INNER_METHODS:
-            raise ValueError(f"unknown inner method {self.inner_method!r}")
         if self.inner_tol_abs is not None and self.inner_tol_abs <= 0.0:
             raise ValueError("inner_tol_abs must be positive")
         if self.inner_max_iter < 1:
@@ -113,14 +107,7 @@ class PpSolver:
     def __init__(self, problem: ProblemData, config: PpConfig = None):
         self.problem = problem
         self.config = config if config is not None else PpConfig()
-        g = self.config.gamma
-        self._S = np.eye(problem.n) + g * problem.Q
-        if self.config.inner_method == "damped_fixed_point":
-            norm_Q = spectral_norm_est(problem.Q)
-            norm_A = spectral_norm_est(problem.A)
-            self._tau = 1.0 / (1.0 + g * norm_Q + g * g * norm_A * norm_A)
-        else:
-            self._tau = None
+        self._S = np.eye(problem.n) + self.config.gamma * problem.Q
         # Newton-matrix caches: cone-block Gram matrices, and the last
         # Cholesky factor with the active pattern it was built for
         self._grams = {}
@@ -181,35 +168,30 @@ class PpSolver:
                     f"{cfg.inner_max_iter} iterations "
                     f"(best residual {best_norm:g})",
                     best_x=best_x, residual_norm=best_norm, iterations=iters)
-            if cfg.inner_method == "semismooth_newton":
-                jac = P.C.projection_jacobian(u)
-                key = jac.pattern_key()  # None on a curved boundary
-                # J comes from validated data, the set methods reject a
-                # non-finite u and a NaN Fx ends the loop before this
-                # solve, so scipy's finiteness scans are skipped
-                if key is None or key != self._factor_key:
-                    self._factor = scipy.linalg.cho_factor(
-                        self.newton_matrix(jac), lower=True,
-                        check_finite=False)
-                    self._factor_key = key
-                step = scipy.linalg.cho_solve(self._factor, -Fx,
-                                              check_finite=False)
-                norm_Fx = inf_norm(Fx)
-                t = 1.0
-                while t > 1e-12:
-                    x_trial = x + t * step
-                    trial = self._f_value(x_trial, x_prev, u_base)
-                    if inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
-                        break
-                    t *= 0.5
-                else:  # no sufficient decrease found; take the full step
-                    x_trial = x + step
-                    trial = self._f_value(x_trial, x_prev, u_base)
-                x = x_trial
-                Fx, u, z = trial
-            else:
-                x = x - self._tau * Fx
-                Fx, u, z = self._f_value(x, x_prev, u_base)
+            jac = P.C.projection_jacobian(u)
+            key = jac.pattern_key()  # None on a curved boundary
+            # J comes from validated data, the set methods reject a
+            # non-finite u and a NaN Fx ends the loop before this
+            # solve, so scipy's finiteness scans are skipped
+            if key is None or key != self._factor_key:
+                self._factor = scipy.linalg.cho_factor(
+                    self.newton_matrix(jac), lower=True, check_finite=False)
+                self._factor_key = key
+            step = scipy.linalg.cho_solve(self._factor, -Fx,
+                                          check_finite=False)
+            norm_Fx = inf_norm(Fx)
+            t = 1.0
+            while t > 1e-12:
+                x_trial = x + t * step
+                trial = self._f_value(x_trial, x_prev, u_base)
+                if inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
+                    break
+                t *= 0.5
+            else:  # no sufficient decrease found; take the full step
+                x_trial = x + step
+                trial = self._f_value(x_trial, x_prev, u_base)
+            x = x_trial
+            Fx, u, z = trial
             iters += 1
             norm = inf_norm(Fx)
             if norm < best_norm:

@@ -66,10 +66,6 @@ class ProblemData:
     def m(self):
         return self.A.shape[0]
 
-    def objective(self, x):
-        x = as_vector(x, dim=self.n, name="x")
-        return 0.5 * float(x @ (self.Q @ x)) + float(self.q @ x)
-
 
 @dataclass(frozen=True)
 class KktResiduals:

@@ -8,6 +8,11 @@ rank at most two, never a dense matrix. The polar
 recession projection is always the Moreau complement ``d - proj_rec(d)``
 so the decomposition identity holds bit-exactly.
 
+The six public methods live on ``SetDescriptor`` and validate their
+input once (a finite 1-d vector of length ``dim``, else ValueError);
+then they call unchecked kernels. A new set supplies ``dim`` plus four
+kernels: ``_project``, ``_support``, ``_recession`` and ``_jacobian``.
+
 Support functions of cones are 0 on the polar cone and +inf elsewhere;
 deciding polar membership in floating point needs a tolerance, exposed
 as ``cone_tol`` (relative, default ``CONE_MEMBERSHIP_TOL``). Certificate
@@ -100,7 +105,14 @@ class ProjectionJacobian:
 
 
 class SetDescriptor:
-    """Base class; concrete sets implement project/support/recession."""
+    """Base class: the public set methods, each validating its input once.
+
+    A concrete set supplies ``dim`` and four kernels that take an
+    already checked 1-d float vector of length ``dim``: ``_project(v)``,
+    ``_support(y, cone_tol)``, ``_recession(d)`` (projection onto the
+    recession cone) and ``_jacobian(v)``. Composite sets call their
+    parts' kernels on slices of the vector checked here.
+    """
 
     @property
     def dim(self):
@@ -111,15 +123,15 @@ class SetDescriptor:
 
     def project(self, v):
         """Euclidean projection of ``v`` onto the set."""
-        raise NotImplementedError
+        return self._project(self._check_dim(v))
 
     def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
         """Support function value at ``y``; may be +inf."""
-        raise NotImplementedError
+        return self._support(self._check_dim(y), cone_tol)
 
     def project_recession(self, d):
         """Projection of ``d`` onto the recession cone of the set."""
-        raise NotImplementedError
+        return self._recession(self._check_dim(d))
 
     def projection_jacobian(self, v):
         """An element of the generalized derivative of the projection.
@@ -127,17 +139,17 @@ class SetDescriptor:
         Returned as a ``ProjectionJacobian``. Kinks resolve
         deterministically to the clamped branch.
         """
-        raise NotImplementedError
+        return self._jacobian(self._check_dim(v))
 
     def project_polar_recession(self, d):
         """Moreau complement: ``d - project_recession(d)``."""
         d = self._check_dim(d)
-        return d - self.project_recession(d)
+        return d - self._recession(d)
 
     def distance_to_recession(self, d):
         """Euclidean distance of ``d`` from the recession cone."""
         d = self._check_dim(d)
-        return float(np.linalg.norm(d - self.project_recession(d)))
+        return float(np.linalg.norm(d - self._recession(d)))
 
 
 class Box(SetDescriptor):
@@ -163,12 +175,10 @@ class Box(SetDescriptor):
     def dim(self):
         return self.lower.shape[0]
 
-    def project(self, v):
-        v = self._check_dim(v)
+    def _project(self, v):
         return np.clip(v, self.lower, self.upper)
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
-        y = self._check_dim(y)
+    def _support(self, y, cone_tol):
         total = 0.0
         for li, ui, yi in zip(self.lower, self.upper, y):
             if yi > 0.0:
@@ -182,20 +192,23 @@ class Box(SetDescriptor):
             # yi == 0 contributes 0 even against infinite bounds
         return total
 
-    def project_recession(self, d):
-        d = self._check_dim(d)
+    def _recession(self, d):
         rec_lower = np.where(np.isinf(self.lower), -np.inf, 0.0)
         rec_upper = np.where(np.isinf(self.upper), np.inf, 0.0)
         return np.clip(d, rec_lower, rec_upper)
 
-    def projection_jacobian(self, v):
-        v = self._check_dim(v)
+    def _jacobian(self, v):
         free = (v > self.lower) & (v < self.upper)
         return ProjectionJacobian(free.astype(float))
 
 
-class NonnegativeOrthant(SetDescriptor):
-    """The cone ``{v : v >= 0}``."""
+class _Cone(SetDescriptor):
+    """A closed convex cone: its own recession cone, support 0 or +inf.
+
+    Subclasses add ``_project``, ``_jacobian`` and ``_polar_distance(y)``,
+    the inf-norm distance of ``y`` from the polar cone, or override the
+    polar-membership test ``_in_polar``.
+    """
 
     def __init__(self, dim):
         if dim < 1:
@@ -206,58 +219,40 @@ class NonnegativeOrthant(SetDescriptor):
     def dim(self):
         return self._dim
 
-    def project(self, v):
-        v = self._check_dim(v)
+    def _recession(self, d):
+        return self._project(d)
+
+    def _in_polar(self, y, cone_tol):
+        return self._polar_distance(y) <= cone_tol * max(1.0, inf_norm(y))
+
+    def _support(self, y, cone_tol):
+        return 0.0 if self._in_polar(y, cone_tol) else math.inf
+
+
+class NonnegativeOrthant(_Cone):
+    """The cone ``{v : v >= 0}``."""
+
+    def _project(self, v):
         return np.maximum(v, 0.0)
 
-    def polar_distance(self, y):
-        """inf-norm distance of ``y`` from the polar cone ``{y <= 0}``."""
+    def _polar_distance(self, y):
+        # the polar cone is {y <= 0}
         return float(np.max(np.maximum(y, 0.0), initial=0.0))
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
-        y = self._check_dim(y)
-        scale = max(1.0, inf_norm(y))
-        if self.polar_distance(y) <= cone_tol * scale:
-            return 0.0
-        return math.inf
-
-    def project_recession(self, d):
-        return self.project(d)
-
-    def projection_jacobian(self, v):
-        v = self._check_dim(v)
+    def _jacobian(self, v):
         return ProjectionJacobian((v > 0.0).astype(float))
 
 
-class Zero(SetDescriptor):
+class Zero(_Cone):
     """The singleton cone ``{0}``."""
 
-    def __init__(self, dim):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        self._dim = int(dim)
-
-    @property
-    def dim(self):
-        return self._dim
-
-    def project(self, v):
-        self._check_dim(v)
+    def _project(self, v):
         return np.zeros(self._dim)
 
-    def polar_distance(self, y):
-        # polar of {0} is the whole space
-        return 0.0
+    def _in_polar(self, y, cone_tol):
+        return True  # the polar of {0} is the whole space
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
-        self._check_dim(y)
-        return 0.0
-
-    def project_recession(self, d):
-        return self.project(d)
-
-    def projection_jacobian(self, v):
-        self._check_dim(v)
+    def _jacobian(self, v):
         return ProjectionJacobian(np.zeros(self._dim))
 
 
@@ -271,20 +266,16 @@ class Singleton(SetDescriptor):
     def dim(self):
         return self.point.shape[0]
 
-    def project(self, v):
-        self._check_dim(v)
+    def _project(self, v):
         return self.point.copy()
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
-        y = self._check_dim(y)
+    def _support(self, y, cone_tol):
         return float(self.point @ y)
 
-    def project_recession(self, d):
-        self._check_dim(d)
+    def _recession(self, d):
         return np.zeros(self.dim)
 
-    def projection_jacobian(self, v):
-        self._check_dim(v)
+    def _jacobian(self, v):
         return ProjectionJacobian(np.zeros(self.dim))
 
 
@@ -304,16 +295,17 @@ class Halfspace(SetDescriptor):
     def dim(self):
         return self.normal.shape[0]
 
-    def project(self, v):
-        v = self._check_dim(v)
-        excess = float(self.normal @ v) - self.offset
+    def _cut(self, v, excess):
+        """``v`` moved back along the normal by ``excess`` when positive."""
         if excess <= 0.0:
             return v.copy()
         return v - (excess / self._sqnorm) * self.normal
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
+    def _project(self, v):
+        return self._cut(v, float(self.normal @ v) - self.offset)
+
+    def _support(self, y, cone_tol):
         # finite only for y = t * normal with t >= 0, then equals offset * t
-        y = self._check_dim(y)
         ny = float(np.linalg.norm(y))
         if ny == 0.0:
             return 0.0
@@ -325,16 +317,11 @@ class Halfspace(SetDescriptor):
             return self.offset * max(t, 0.0)
         return math.inf
 
-    def project_recession(self, d):
+    def _recession(self, d):
         # recession cone is the homogeneous halfspace {d : <normal, d> <= 0}
-        d = self._check_dim(d)
-        excess = float(self.normal @ d)
-        if excess <= 0.0:
-            return d.copy()
-        return d - (excess / self._sqnorm) * self.normal
+        return self._cut(d, float(self.normal @ d))
 
-    def projection_jacobian(self, v):
-        v = self._check_dim(v)
+    def _jacobian(self, v):
         ones = np.ones(self.dim)
         if float(self.normal @ v) - self.offset >= 0.0:
             # I - a a.T / ||a||^2, constant while the constraint is active
@@ -356,24 +343,20 @@ class Ball(SetDescriptor):
     def dim(self):
         return self.center.shape[0]
 
-    def project(self, v):
-        v = self._check_dim(v)
+    def _project(self, v):
         diff = v - self.center
         rho = float(np.linalg.norm(diff))
         if rho <= self.radius:
             return v.copy()
         return self.center + (self.radius / rho) * diff
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
-        y = self._check_dim(y)
+    def _support(self, y, cone_tol):
         return float(self.center @ y) + self.radius * float(np.linalg.norm(y))
 
-    def project_recession(self, d):
-        self._check_dim(d)
+    def _recession(self, d):
         return np.zeros(self.dim)
 
-    def projection_jacobian(self, v):
-        v = self._check_dim(v)
+    def _jacobian(self, v):
         diff = v - self.center
         rho = float(np.linalg.norm(diff))
         if rho < self.radius:
@@ -386,23 +369,13 @@ class Ball(SetDescriptor):
             alpha, (diff / rho)[:, None], np.array([[-alpha]]))
 
 
-class SecondOrderCone(SetDescriptor):
+class SecondOrderCone(_Cone):
     """The cone ``{(t, x) : ||x|| <= t}``; first coordinate is the scalar.
 
     Self-dual: its polar is the negated cone.
     """
 
-    def __init__(self, dim):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        self._dim = int(dim)
-
-    @property
-    def dim(self):
-        return self._dim
-
-    def project(self, v):
-        v = self._check_dim(v)
+    def _project(self, v):
         t, x = v[0], v[1:]
         rho = float(np.linalg.norm(x))
         if rho <= t:
@@ -415,23 +388,11 @@ class SecondOrderCone(SetDescriptor):
         out[1:] = (scale / rho) * x
         return out
 
-    def polar_distance(self, y):
-        """inf-norm distance of ``y`` from the polar cone ``-K``."""
-        neg_proj = -self.project(-np.asarray(y, dtype=float))
-        return inf_norm(y - neg_proj)
+    def _polar_distance(self, y):
+        # y minus its projection -proj_K(-y) onto the polar cone -K
+        return inf_norm(y - -self._project(-y))
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
-        y = self._check_dim(y)
-        scale = max(1.0, inf_norm(y))
-        if self.polar_distance(y) <= cone_tol * scale:
-            return 0.0
-        return math.inf
-
-    def project_recession(self, d):
-        return self.project(d)
-
-    def projection_jacobian(self, v):
-        v = self._check_dim(v)
+    def _jacobian(self, v):
         t, x = v[0], v[1:]
         rho = float(np.linalg.norm(x))
         if rho <= -t:
@@ -449,15 +410,12 @@ class SecondOrderCone(SetDescriptor):
         return ProjectionJacobian.scaled_block(0.5 * (1.0 + ratio), U, N)
 
 
-_CONE_KINDS = (NonnegativeOrthant, Zero, SecondOrderCone)
-
-
 class TranslatedCone(SetDescriptor):
     """A closed convex cone shifted by an offset: ``offset + K``."""
 
     def __init__(self, offset, cone):
         self.offset = as_vector(offset, name="offset")
-        if not isinstance(cone, _CONE_KINDS):
+        if not isinstance(cone, _Cone):
             raise ValueError(
                 "translated cone expects an inner NonnegativeOrthant, Zero,"
                 " or SecondOrderCone")
@@ -469,24 +427,19 @@ class TranslatedCone(SetDescriptor):
     def dim(self):
         return self.cone.dim
 
-    def project(self, v):
-        v = self._check_dim(v)
-        return self.offset + self.cone.project(v - self.offset)
+    def _project(self, v):
+        return self.offset + self.cone._project(v - self.offset)
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
-        y = self._check_dim(y)
-        scale = max(1.0, inf_norm(y))
-        if self.cone.polar_distance(y) <= cone_tol * scale:
+    def _support(self, y, cone_tol):
+        if self.cone._in_polar(y, cone_tol):
             return float(self.offset @ y)
         return math.inf
 
-    def project_recession(self, d):
-        d = self._check_dim(d)
-        return self.cone.project(d)
+    def _recession(self, d):
+        return self.cone._project(d)
 
-    def projection_jacobian(self, v):
-        v = self._check_dim(v)
-        return self.cone.projection_jacobian(v - self.offset)
+    def _jacobian(self, v):
+        return self.cone._jacobian(v - self.offset)
 
 
 class Cartesian(SetDescriptor):
@@ -510,34 +463,30 @@ class Cartesian(SetDescriptor):
         for part, lo, hi in zip(self.parts, self._offsets, self._offsets[1:]):
             yield part, slice(int(lo), int(hi))
 
-    def project(self, v):
-        v = self._check_dim(v)
+    def _project(self, v):
         out = np.empty(self.dim)
         for part, sl in self._slices():
-            out[sl] = part.project(v[sl])
+            out[sl] = part._project(v[sl])
         return out
 
-    def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
-        y = self._check_dim(y)
+    def _support(self, y, cone_tol):
         total = 0.0
         for part, sl in self._slices():
-            val = part.support(y[sl], cone_tol=cone_tol)
+            val = part._support(y[sl], cone_tol)
             if math.isinf(val):
                 return math.inf
             total += val
         return total
 
-    def project_recession(self, d):
-        d = self._check_dim(d)
+    def _recession(self, d):
         out = np.empty(self.dim)
         for part, sl in self._slices():
-            out[sl] = part.project_recession(d[sl])
+            out[sl] = part._recession(d[sl])
         return out
 
-    def projection_jacobian(self, v):
-        v = self._check_dim(v)
+    def _jacobian(self, v):
         return ProjectionJacobian.concat(
-            [part.projection_jacobian(v[sl]) for part, sl in self._slices()])
+            [part._jacobian(v[sl]) for part, sl in self._slices()])
 
 
 def whole_space(dim):

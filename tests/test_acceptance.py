@@ -17,8 +17,7 @@ from splitqp import fileio
 from splitqp.cli import main
 from splitqp.dr import DrConfig, DrSolver
 from splitqp.driver import iterate
-from splitqp.instances import (cesaro_oracle, cesaro_triple,
-                               gen_dual_infeasible, gen_feasible,
+from splitqp.instances import (gen_dual_infeasible, gen_feasible,
                                gen_primal_infeasible)
 from splitqp.linalg import inf_norm
 from splitqp.outcome import MAX_ITERATIONS, SOLVED
@@ -26,6 +25,8 @@ from splitqp.pp import PpConfig, PpSolver
 from splitqp.problem import (ProblemData, check_dual_certificate,
                              check_primal_certificate)
 from splitqp.sets import Box, Halfspace, SecondOrderCone
+
+from cesaro import cesaro_oracle, cesaro_triple
 
 FAMILIES = ["box", "orthant", "translated_cone", "box_soc"]
 SET_KINDS = ["box", "orthant", "zero", "singleton", "halfspace", "ball",

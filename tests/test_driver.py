@@ -198,6 +198,29 @@ def test_iterate_yields_every_state_and_one_outcome(solver_cls, config_cls):
         assert out.residual_history is None
 
 
+@pytest.mark.parametrize("solver_cls,config_cls",
+                         [(DrSolver, DrConfig), (PpSolver, PpConfig)])
+def test_termination_checks_each_state_once(solver_cls, config_cls):
+    # a max_iter on the check grid is checked once, not again as the last step
+    P = generate("feasible", 9, 6, 9, "box_soc").problem
+    for schedule, expected in ((dict(max_iter=50, check_interval=25), [25, 50]),
+                               (dict(max_iter=37, check_interval=7),
+                                [7, 14, 21, 28, 35, 37]),
+                               (dict(max_iter=3, check_interval=1), [2, 3]),
+                               (dict(max_iter=1), [])):
+        solver = solver_cls(P, config_cls(eps_abs=1e-15, eps_rel=1e-15,
+                                          **schedule))
+        checked, check = [], solver.check_termination
+
+        def recording(state):
+            checked.append(state.n)
+            return check(state)
+
+        solver.check_termination = recording
+        assert solver.run().status == oc.MAX_ITERATIONS
+        assert checked == expected
+
+
 def test_state_records_inner_iterations_for_pp_only():
     P = generate("feasible", 4, 3, 5, "box").problem
     (dr_state, _), = iterate(DrSolver(P, DrConfig(max_iter=1)))

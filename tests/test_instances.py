@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from splitqp.instances import (SET_FAMILIES, SplitMix64, cesaro_oracle,
-                               cesaro_triple, gen_dual_infeasible,
+from splitqp.instances import (SET_FAMILIES, SplitMix64, gen_dual_infeasible,
                                gen_feasible, gen_primal_infeasible, generate)
 from splitqp.linalg import spectral_norm_est
 from splitqp.problem import (check_dual_certificate, check_primal_certificate,
                              kkt_residuals)
 from splitqp.sets import Ball, Box, NonnegativeOrthant
+
+from cesaro import cesaro_oracle, cesaro_triple
 
 
 def test_splitmix64_reference_vector():

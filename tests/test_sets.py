@@ -1,16 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from splitqp.instances import cesaro_oracle, cesaro_triple
 from splitqp.linalg import inf_norm
 from splitqp.sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
                           SecondOrderCone, Singleton, TranslatedCone, Zero,
                           whole_space)
 
+from cesaro import cesaro_oracle, cesaro_triple
+
 ALL_KINDS = ["box", "orthant", "zero", "singleton", "halfspace", "ball",
              "soc", "translated_cone", "cartesian"]
+PUBLIC_METHODS = ["project", "support", "project_recession",
+                  "projection_jacobian", "project_polar_recession",
+                  "distance_to_recession"]
 
 inf = np.inf
 
@@ -36,9 +41,20 @@ def test_project_examples():
     assert np.allclose(Halfspace([1.0, 0.0], 0.0).project([2.0, 3.0]), [0.0, 3.0])
 
 
-def test_project_dimension_mismatch():
-    with pytest.raises(ValueError):
-        Box([0.0], [1.0]).project([1.0, 2.0])
+def test_public_methods_validate_input():
+    # every public method rejects a wrong length, a NaN entry and a 2-d
+    # input, composite sets included, with the messages of as_vector
+    for kind in ALL_KINDS:
+        for S in random_sets(kind, 3, base_seed=83):
+            d = S.dim
+            bad = [(np.zeros(d + 1), f"vector has dimension {d + 1}, expected {d}"),
+                   (np.r_[np.zeros(d - 1), np.nan], "vector has non-finite entries"),
+                   (np.zeros((d, 1)),
+                    f"vector must be 1-dimensional, got shape ({d}, 1)")]
+            for method in PUBLIC_METHODS:
+                for v, message in bad:
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        getattr(S, method)(v)
 
 
 def test_soc_projection_against_brute_force():
