@@ -6,8 +6,8 @@ import pytest
 
 from splitqp.linalg import inf_norm
 from splitqp.sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
-                          SecondOrderCone, Singleton, TranslatedCone, Zero,
-                          whole_space)
+                          SecondOrderCone, SetDescriptor, Singleton,
+                          TranslatedCone, Zero, whole_space)
 
 from cesaro import cesaro_oracle, cesaro_triple
 
@@ -55,6 +55,15 @@ def test_public_methods_validate_input():
                 for v, message in bad:
                     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                         getattr(S, method)(v)
+
+
+def test_public_methods_are_shared():
+    # the public methods are SetDescriptor's; a set may alias, not redefine
+    for kind in ALL_KINDS:
+        for cls in type(random_sets(kind, 1)[0]).__mro__[:-2]:
+            for method in PUBLIC_METHODS:
+                if method in cls.__dict__:
+                    assert cls.__dict__[method] is SetDescriptor.__dict__[method]
 
 
 def test_soc_projection_against_brute_force():
