@@ -9,9 +9,13 @@ the same instance bit-for-bit, in any implementation of the generator:
     output z xor (z >> 31)
 
 Uniform doubles in [0, 1) take the top 53 bits; matrix and vector
-entries are uniform in [-1, 1]. Constraint matrices are rescaled to a
-unit spectral-norm estimate so the default solver tolerances behave the
-same across sizes.
+entries are uniform in [-1, 1]. A vector or matrix is drawn as one
+block: its k-th entry (rows first) comes from the state
+state + k * 0x9E3779B97F4A7C15 in numpy uint64 arithmetic, which wraps
+mod 2^64, so the block equals the scalar stream bit for bit and leaves
+the same state. Constraint matrices are rescaled to a unit
+spectral-norm estimate so the default solver tolerances behave the same
+across sizes.
 
 Three families of ground truth are produced:
 
@@ -40,6 +44,7 @@ from .sets import (Box, Cartesian, NonnegativeOrthant, SecondOrderCone,
 SET_FAMILIES = ("box", "orthant", "translated_cone", "box_soc")
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the SplitMix64 state increment
 _MARGIN = 0.5  # infeasibility gap, relative to the unit-norm certificate
 
 
@@ -50,7 +55,7 @@ class SplitMix64:
         self.state = int(seed) & _MASK
 
     def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -68,11 +73,20 @@ class SplitMix64:
         return 2.0 * self.uniform() - 1.0
 
     def vector(self, n):
-        return np.array([self.symmetric() for _ in range(n)])
+        """``n`` draws of ``symmetric()`` as one block; uint64 arrays wrap."""
+        k = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + k * np.uint64(_GAMMA)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return 2.0 * ((z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53) - 1.0
 
     def matrix(self, m, n):
-        return np.array([[self.symmetric() for _ in range(n)]
-                         for _ in range(m)])
+        """``m * n`` draws of ``symmetric()``, filling rows first."""
+        return self.vector(m * n).reshape(m, n)
 
 
 @dataclass
@@ -272,6 +286,8 @@ def gen_primal_infeasible(seed, n, m, set_family="box"):
     """
     if set_family not in SET_FAMILIES:
         raise ValueError(f"unknown set family {set_family!r}")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be at least 1")
     if m < 2:
         raise ValueError("primal infeasible generation needs m >= 2")
     rng = SplitMix64(seed)

@@ -4,7 +4,9 @@
 ``_reference_check`` / ``_reference_trace`` the termination test and
 trace record; the DR versions took the residuals directly at the
 iterate, the PP versions from the scaled differences. The driver must
-reproduce them bitwise on every schedule edge.
+reproduce them bitwise on every schedule edge. The one addition to the
+old termination test is the dual polish at the check after the last
+allowed step.
 """
 
 import numpy as np
@@ -70,6 +72,20 @@ def _reference_check(self, state):
             dual_cert = Certificate(
                 kind="dual_infeasibility", vector=state.dx.copy(),
                 metrics={**metrics, "eps": cfg.eps_dinf})
+    if primal_cert is None and dual_cert is None and state.n >= cfg.max_iter:
+        # the dual polish at the final check: dx projected onto null(Q)
+        lam, V = np.linalg.eigh(P.Q)
+        N = V[:, lam <= 1e-9 * max(lam[-1], 0.0)]
+        xbar = N @ (N.T @ state.dx)
+        if inf_norm(xbar) > 0.0:
+            ok, metrics = check_dual_certificate(P, xbar, cfg.eps_dinf)
+            if ok:
+                cos = float(state.dx @ xbar) / (
+                    np.linalg.norm(state.dx) * np.linalg.norm(xbar))
+                dual_cert = Certificate(
+                    kind="dual_infeasibility", vector=xbar.copy(),
+                    metrics={**metrics, "eps": cfg.eps_dinf, "polished": 1.0,
+                             "polish_angle": float(np.arccos(min(cos, 1.0)))})
     if primal_cert is not None:
         extra = {}
         if dual_cert is not None:
@@ -219,6 +235,31 @@ def test_termination_checks_each_state_once(solver_cls, config_cls):
         solver.check_termination = recording
         assert solver.run().status == oc.MAX_ITERATIONS
         assert checked == expected
+
+
+@pytest.mark.parametrize("solver_cls,config_cls",
+                         [(DrSolver, DrConfig), (PpSolver, PpConfig)])
+def test_final_check_polishes_dual_certificate(solver_cls, config_cls):
+    # raw dx on this instance stalls with ||Q dx|| / ||dx|| near 3e-5
+    P = generate("dual_infeasible", 34033, 60, 90, "orthant").problem
+    cfg = config_cls(max_iter=500)
+    out = solver_cls(P, cfg).run()
+    assert (out.status, out.iterations) == (oc.DUAL_INFEASIBLE, 500)
+    assert check_dual_certificate(P, out.certificate.vector, cfg.eps_dinf)[0]
+    metrics = out.certificate.metrics
+    assert metrics["polished"] == 1.0
+    assert 0.0 < metrics["polish_angle"] < 0.1
+
+
+def test_polish_gives_no_false_certificate():
+    # the badly scaled feasible problem: null(Q) is e1 at this threshold,
+    # but A e1 is not in the recession cone {0} of the bounded box
+    P = ProblemData(Q=np.diag([1e-8, 1e8]), q=[1.0, -1e6],
+                    A=[[1e6, 0.0], [0.0, 1e-6], [1.0, 1.0]],
+                    C=Box([-1.0, -1.0, -1e9], [1.0, 1.0, 1e9]))
+    for max_iter in (2, 20, 26):
+        out = DrSolver(P, DrConfig(max_iter=max_iter)).run()
+        assert (out.status, out.iterations) == (oc.MAX_ITERATIONS, max_iter)
 
 
 def test_state_records_inner_iterations_for_pp_only():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitqp import fileio, instances
 from splitqp.instances import (SET_FAMILIES, SplitMix64, gen_dual_infeasible,
                                gen_feasible, gen_primal_infeasible, generate)
 from splitqp.linalg import spectral_norm_est
@@ -28,6 +29,55 @@ def test_splitmix64_uniform_range():
     values = [rng.symmetric() for _ in range(2000)]
     assert all(-1.0 <= v < 1.0 for v in values)
     assert abs(np.mean(values)) < 0.05
+
+
+class ScalarSplitMix64(SplitMix64):
+    """Vectors and matrices drawn one ``symmetric()`` at a time."""
+
+    def vector(self, n):
+        return np.array([self.symmetric() for _ in range(n)])
+
+    def matrix(self, m, n):
+        return np.array([[self.symmetric() for _ in range(n)]
+                         for _ in range(m)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -5])
+def test_block_draws_match_scalar_stream(seed):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    assert rng.state == ref.state == seed % 2**64
+    draws = [("vector", (0,)), ("vector", (7,)), ("matrix", (3, 4)),
+             ("scalar", ()), ("matrix", (0, 5)), ("matrix", (5, 0)),
+             ("vector", (1,)), ("scalar", ()), ("matrix", (1, 9))]
+    for method, shape in draws:
+        if method == "scalar":
+            assert rng.symmetric() == ref.symmetric()
+        else:
+            got = getattr(rng, method)(*shape)
+            count = int(np.prod(shape))
+            want = np.array([ref.symmetric() for _ in range(count)])
+            assert got.shape == shape and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert rng.state == ref.state
+
+
+def test_generated_instances_match_scalar_draws(monkeypatch):
+    block = {}
+    for kind in ("feasible", "primal_infeasible", "dual_infeasible"):
+        for family in SET_FAMILIES:
+            for n in (1, 5, 60):
+                block[kind, family, n] = generate(kind, 9000 + n, n, n + 1,
+                                                  family)
+    monkeypatch.setattr(instances, "SplitMix64", ScalarSplitMix64)
+    for (kind, family, n), b in block.items():
+        ref = generate(kind, 9000 + n, n, n + 1, family)
+        for name in ("Q", "q", "A"):
+            assert (getattr(b.problem, name).tobytes()
+                    == getattr(ref.problem, name).tobytes())
+        # the canonical text holds the set arrays and the truth exactly
+        assert (fileio.dumps_problem(b.problem, b.truth)
+                == fileio.dumps_problem(ref.problem, ref.truth))
+        assert b.unique_direction == ref.unique_direction
 
 
 def test_generator_determinism():
@@ -85,6 +135,11 @@ def test_generator_argument_validation():
         gen_primal_infeasible(1, 3, 1, "box")
     with pytest.raises(ValueError, match="unknown instance kind"):
         generate("weakly_infeasible", 1, 3, 4, "box")
+    for gen in (gen_feasible, gen_primal_infeasible, gen_dual_infeasible):
+        for n, m in ((0, 4), (3, 0)):
+            with pytest.raises(ValueError,
+                               match="n and m must be at least 1"):
+                gen(1, n, m, "box")
 
 
 def test_cesaro_oracle_examples():
