@@ -82,7 +82,8 @@ class SplitMix64:
         z ^= z >> np.uint64(27)
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
-        return 2.0 * ((z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53) - 1.0
+        u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return 2.0 * u - 1.0
 
     def matrix(self, m, n):
         """``m * n`` draws of ``symmetric()``, filling rows first."""
