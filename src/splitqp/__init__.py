@@ -21,7 +21,7 @@ from .problem import (Certificate, KktResiduals, ProblemData,
                       kkt_residuals)
 from .sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
                    SecondOrderCone, SetDescriptor, Singleton, TranslatedCone,
-                   Zero, whole_space)
+                   Zero)
 
 __all__ = [
     "Ball", "Box", "Cartesian", "Certificate", "DrConfig", "DrSolver",
@@ -34,7 +34,7 @@ __all__ = [
     "check_dual_certificate", "check_primal_certificate", "dr_run",
     "gen_dual_infeasible", "gen_feasible", "gen_primal_infeasible",
     "generate", "iterate", "kkt_residuals", "pp_run", "spd_factor",
-    "spectral_norm_est", "whole_space",
+    "spectral_norm_est",
 ]
 
 __version__ = "0.1.0"

@@ -2,7 +2,9 @@
 
 Exit codes for ``solve``: 0 solved, 10 primal infeasible, 11 dual
 infeasible, 12 iteration limit, 2 input error, 3 numerical breakdown
-(PP's inner solve failed to converge; no outcome is written).
+(building or running the solver failed on valid input, e.g. PP's inner
+solve did not converge or DR's subproblem matrix overflowed; no outcome
+is written). Flags left unset take the solver config's defaults.
 ``check`` exits 0 when the candidate certificate passes, 1 when it
 fails, 2 on input errors.
 """
@@ -40,16 +42,14 @@ def _build_parser():
     solve = sub.add_parser("solve", help="solve a problem file")
     solve.add_argument("path", help="problem file (JSON)")
     solve.add_argument("--solver", choices=("dr", "pp"), default="dr")
-    solve.add_argument("--alpha", type=float, default=1.6,
+    solve.add_argument("--alpha", type=float,
                        help="DR relaxation parameter, in (0, 2)")
-    solve.add_argument("--gamma", type=float, default=1.0,
+    solve.add_argument("--gamma", type=float,
                        help="PP regularization parameter, > 0")
-    solve.add_argument("--eps-abs", type=float, default=1e-6)
-    solve.add_argument("--eps-rel", type=float, default=1e-6)
-    solve.add_argument("--eps-pinf", type=float, default=1e-6)
-    solve.add_argument("--eps-dinf", type=float, default=1e-6)
-    solve.add_argument("--max-iter", type=int, default=20000)
-    solve.add_argument("--check-interval", type=int, default=25)
+    for flag in ("--eps-abs", "--eps-rel", "--eps-pinf", "--eps-dinf"):
+        solve.add_argument(flag, type=float)
+    solve.add_argument("--max-iter", type=int)
+    solve.add_argument("--check-interval", type=int)
     solve.add_argument("--trace", metavar="PATH",
                        help="write a per-iteration trace CSV")
     solve.add_argument("--warm", metavar="PATH",
@@ -75,19 +75,22 @@ def _build_parser():
 
 def _cmd_solve(args):
     problem, _ = fileio.load_problem(args.path)
-    loop = dict(eps_abs=args.eps_abs, eps_rel=args.eps_rel,
-                eps_pinf=args.eps_pinf, eps_dinf=args.eps_dinf,
-                max_iter=args.max_iter, check_interval=args.check_interval)
     if args.solver == "dr":
-        config = DrConfig(alpha=args.alpha, **loop)
-        solver_cls, dual_key = DrSolver, "v"
+        config_cls, solver_cls, dual_key = DrConfig, DrSolver, "v"
     else:
-        config = PpConfig(gamma=args.gamma, **loop)
-        solver_cls, dual_key = PpSolver, "y"
-    solver = solver_cls(problem, config)
+        config_cls, solver_cls, dual_key = PpConfig, PpSolver, "y"
+    config = config_cls(**{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)
+        if getattr(args, f.name, None) is not None})
     warm = (fileio.load_warm(args.warm, "x", dual_key, problem.n, problem.m)
             if args.warm else None)
-    result = solver.run(warm=warm, collect_trace=args.trace is not None)
+    try:
+        solver = solver_cls(problem, config)
+        result = solver.run(warm=warm, collect_trace=args.trace is not None)
+    except (InnerSolveError, ValueError) as exc:
+        # the input passed validation, so this is a numerical failure
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_BREAKDOWN
     if args.trace:
         fileio.write_trace_csv(args.trace, result.residual_history)
     config_echo = {"solver": args.solver, **dataclasses.asdict(config)}
@@ -139,9 +142,6 @@ def main(argv=None):
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_check(args)
-    except InnerSolveError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_BREAKDOWN
     except (ProblemFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,12 @@ iteration, and the residuals obey
     A x_n - Pi_C(v_n)                = -(A dx_n+1 - dv_n+1) / alpha
     Q x_n + q + A.T (v_n - Pi_C v_n) = -((Q+I) dx_n+1 + A.T dv_n+1) / alpha
 
-where ``d`` denotes the difference of consecutive iterates. The
-differences converge, and their limits are infeasibility certificates
-whenever they are nonzero: ``dy_n`` for the primal problem, ``dx_n`` for
-its dual. Termination tests run every ``check_interval`` iterations.
+where ``d`` denotes the difference of consecutive iterates
+(``tests/identities.py`` checks both identities from two consecutive
+states). The differences converge, and their limits are infeasibility
+certificates whenever they are nonzero: ``dy_n`` for the primal problem,
+``dx_n`` for its dual; a state keeps only these two. Termination tests
+run every ``check_interval`` iterations.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ class DrSolver:
         x, v = driver.warm_start(P, warm)
         z = P.C.project(v)
         return SolverState(n=0, x=x, v=v, z=z, y=v - z,
-                           dx=np.zeros(P.n), dv=np.zeros(P.m),
-                           dz=np.zeros(P.m), dy=np.zeros(P.m))
+                           dx=np.zeros(P.n), dy=np.zeros(P.m))
 
     def step(self, state: SolverState) -> SolverState:
         P, alpha = self.problem, self.config.alpha
@@ -78,35 +79,10 @@ class DrSolver:
         x_next = state.x + alpha * (xt - state.x)
         v_next = state.v + alpha * (P.A @ xt - state.z)
         z_next = P.C.project(v_next)
+        y_next = v_next - z_next
         return SolverState(
-            n=state.n + 1, x=x_next, v=v_next, z=z_next, y=v_next - z_next,
-            dx=x_next - state.x, dv=v_next - state.v,
-            dz=z_next - state.z, dy=(v_next - z_next) - state.y)
-
-    def residuals(self, state: SolverState):
-        """Difference-based residual norms (the iterate one step back)."""
-        if state.n < 1:
-            raise ValueError("residuals need at least one completed iteration")
-        prim, dual = self.residual_vectors(state)[:2]
-        return inf_norm(prim), inf_norm(dual)
-
-    def residual_vectors(self, state: SolverState):
-        """Both evaluations of each residual identity at this state.
-
-        Returns ``(prim_delta, dual_delta, prim_direct, dual_direct)``
-        where the delta forms use the cached differences and the direct
-        forms re-evaluate the previous iterate; the pairs agree up to
-        the accuracy of the subproblem solve.
-        """
-        P, alpha = self.problem, self.config.alpha
-        prim_delta = -(P.A @ state.dx - state.dv) / alpha
-        dual_delta = -(state.dx + P.Q @ state.dx + P.A.T @ state.dv) / alpha
-        x_prev = state.x - state.dx
-        z_prev = state.z - state.dz
-        y_prev = state.y - state.dy
-        prim_direct = P.A @ x_prev - z_prev
-        dual_direct = P.Q @ x_prev + P.q + P.A.T @ y_prev
-        return prim_delta, dual_delta, prim_direct, dual_direct
+            n=state.n + 1, x=x_next, v=v_next, z=z_next, y=y_next,
+            dx=x_next - state.x, dy=y_next - state.y)
 
     def stopping_residuals(self, state: SolverState):
         """Residual norms evaluated directly at the current iterate."""

@@ -32,10 +32,12 @@ def validate_loop_config(cfg):
 
 @dataclass
 class SolverState:
-    """Iterates at counter ``n``, the split ``z = Pi_C(v)``, and differences.
+    """Iterates at counter ``n``, the split ``z = Pi_C(v)``, and the
+    certificate candidates.
 
-    ``dx = x_n - x_{n-1}`` and likewise for the other differences (zero
-    at ``n = 0``). ``inner_iters`` counts the inner iterations of the
+    ``dx = x_n - x_{n-1}`` and ``dy = y_n - y_{n-1}`` (zero at ``n = 0``)
+    are the only differences kept: their limits are the dual and primal
+    certificates. ``inner_iters`` counts the inner iterations of the
     step that produced this state (PP only; None for DR).
     """
 
@@ -46,8 +48,6 @@ class SolverState:
     z: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
-    dv: np.ndarray
-    dz: np.ndarray
     inner_iters: Optional[int] = None
 
 

@@ -20,12 +20,15 @@ rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import operator
 
 import numpy as np
 
 from .instances import InstanceBundle
+from .outcome import TraceRecord
 from .problem import Certificate, ProblemData
 from .sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
                    SecondOrderCone, SetDescriptor, Singleton, TranslatedCone,
@@ -328,13 +331,11 @@ def load_warm(path, first_key, second_key, n, m):
 
 
 def certificate_to_obj(cert: Certificate):
-    metrics = {}
-    for key, value in cert.metrics.items():
-        v = float(value)
-        metrics[key] = "inf" if math.isinf(v) else v
+    """Infinite metrics become the strings "inf" / "-inf", like box bounds."""
     return {"kind": cert.kind,
             "vector": [float(v) for v in cert.vector],
-            "metrics": metrics}
+            "metrics": {key: _encode_bound(value)
+                        for key, value in cert.metrics.items()}}
 
 
 def outcome_to_obj(result, config_echo):
@@ -356,27 +357,25 @@ def dumps_outcome(result, config_echo):
     return json.dumps(outcome_to_obj(result, config_echo), indent=2) + "\n"
 
 
+# a record's fields in order: dataclasses.astuple without its deepcopy
+_trace_fields = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(TraceRecord)))
 TRACE_COLUMNS = ["iter", "primal_res", "dual_res", "norm_dx", "norm_dy",
                  "norm_At_dy", "support_dy", "norm_Q_dx", "q_dot_dx",
                  "dist_rec"]
 
 
 def write_trace_csv(path, records):
-    """Trace CSV with a mandatory header; support_dy renders inf as 'inf'.
+    """Trace CSV with a mandatory header, one row per record's fields.
 
-    An ``inner_iters`` column follows when the records carry inner
-    iteration counts (PP traces).
+    Values are ``repr``s, so an unbounded ``support_dy`` renders as
+    ``inf``. An ``inner_iters`` column follows when the records carry
+    inner iteration counts (PP traces).
     """
     include_inner = bool(records) and records[0].inner_iters is not None
     columns = TRACE_COLUMNS + (["inner_iters"] if include_inner else [])
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for rec in records:
-            support = "inf" if math.isinf(rec.support_dy) else repr(rec.support_dy)
-            row = [str(rec.n), repr(rec.primal_res), repr(rec.dual_res),
-                   repr(rec.norm_dx), repr(rec.norm_dy), repr(rec.norm_At_dy),
-                   support, repr(rec.norm_Q_dx), repr(rec.q_dot_dx),
-                   repr(rec.dist_rec)]
-            if include_inner:
-                row.append(str(rec.inner_iters))
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(map(repr, _trace_fields(rec)[:len(columns)]))
+                     + "\n")

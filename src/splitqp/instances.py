@@ -179,6 +179,30 @@ def _neg_soc_polar_vector(rng, dim):
     return v
 
 
+def _tilt_into_soc(rng, A, k, x):
+    """Shift row ``k`` of A along ``x`` so that ``A[k] @ x`` strictly
+    exceeds ``||A[k+1:] @ x||``: ``A[k:] @ x`` lies inside the SOC."""
+    target = float(np.linalg.norm(A[k + 1:] @ x)) * (
+        1.0 + rng.uniform_in(0.2, 1.0)) + 0.05
+    A[k] = A[k] + ((target - float(A[k] @ x)) / float(x @ x)) * x
+
+
+def _recession_box(rng, bounded, d):
+    """Box of ``len(bounded)`` rows, unbounded along ``d`` where not ``bounded``."""
+    lower = np.empty(len(bounded))
+    upper = np.empty(len(bounded))
+    for i in range(len(bounded)):
+        lo = -rng.uniform_in(0.1, 1.0)
+        hi = rng.uniform_in(0.1, 1.0)
+        if bounded[i]:
+            lower[i], upper[i] = lo, hi
+        elif d[i] > 0:
+            lower[i], upper[i] = lo, np.inf
+        else:
+            lower[i], upper[i] = -np.inf, hi
+    return Box(lower, upper)
+
+
 def gen_feasible(seed, n, m, set_family="box"):
     """Problem with a known KKT triple; Q is positive definite."""
     if set_family not in SET_FAMILIES:
@@ -229,14 +253,12 @@ def gen_feasible(seed, n, m, set_family="box"):
             raise ValueError("box_soc needs m >= 2")
         m1 = m // 2
         m2 = m - m1
-        sq = float(x_star @ x_star)
         if m2 == 1:
+            sq = float(x_star @ x_star)
             target = rng.uniform_in(0.1, 1.0)
+            A[m1] = A[m1] + ((target - float(A[m1] @ x_star)) / sq) * x_star
         else:
-            rest = A[m1 + 1:] @ x_star
-            target = float(np.linalg.norm(rest)) * (
-                1.0 + rng.uniform_in(0.2, 1.0)) + 0.05
-        A[m1] = A[m1] + ((target - float(A[m1] @ x_star)) / sq) * x_star
+            _tilt_into_soc(rng, A, m1, x_star)
         A = _rescaled(A)
         z_star = A @ x_star
         box, y_box = _box_around(rng, z_star[:m1])
@@ -367,19 +389,7 @@ def gen_dual_infeasible(seed, n, m, set_family="box"):
             if bounded[i]:
                 A[i] = A[i] - (float(A[i] @ xbar) / sq) * xbar
         A = _rescaled(A)
-        d = A @ xbar
-        lower = np.empty(m)
-        upper = np.empty(m)
-        for i in range(m):
-            lo = -rng.uniform_in(0.1, 1.0)
-            hi = rng.uniform_in(0.1, 1.0)
-            if bounded[i]:
-                lower[i], upper[i] = lo, hi
-            elif d[i] > 0:
-                lower[i], upper[i] = lo, np.inf
-            else:
-                lower[i], upper[i] = -np.inf, hi
-        C = Box(lower, upper)
+        C = _recession_box(rng, bounded, A @ xbar)
     elif set_family == "orthant":
         bounded = np.array([rng.uniform() < 0.3 for _ in range(m)])
         for i in range(m):
@@ -390,10 +400,7 @@ def gen_dual_infeasible(seed, n, m, set_family="box"):
         A = _rescaled(A)
         C = NonnegativeOrthant(m)
     elif set_family == "translated_cone":
-        rest = A[1:] @ xbar if m >= 2 else np.zeros(0)
-        target = float(np.linalg.norm(rest)) * (
-            1.0 + rng.uniform_in(0.2, 1.0)) + 0.05
-        A[0] = A[0] + ((target - float(A[0] @ xbar)) / sq) * xbar
+        _tilt_into_soc(rng, A, 0, xbar)
         A = _rescaled(A)
         x_f = rng.vector(n)
         w = _soc_vector(rng, m)
@@ -411,24 +418,10 @@ def gen_dual_infeasible(seed, n, m, set_family="box"):
             if float(A[m1] @ xbar) < 0.0:
                 A[m1] = -A[m1]
         else:
-            rest = A[m1 + 1:] @ xbar
-            target = float(np.linalg.norm(rest)) * (
-                1.0 + rng.uniform_in(0.2, 1.0)) + 0.05
-            A[m1] = A[m1] + ((target - float(A[m1] @ xbar)) / sq) * xbar
+            _tilt_into_soc(rng, A, m1, xbar)
         A = _rescaled(A)
-        d = A @ xbar
-        lower = np.empty(m1)
-        upper = np.empty(m1)
-        for i in range(m1):
-            lo = -rng.uniform_in(0.1, 1.0)
-            hi = rng.uniform_in(0.1, 1.0)
-            if bounded[i]:
-                lower[i], upper[i] = lo, hi
-            elif d[i] > 0:
-                lower[i], upper[i] = lo, np.inf
-            else:
-                lower[i], upper[i] = -np.inf, hi
-        C = Cartesian([Box(lower, upper), SecondOrderCone(m2)])
+        C = Cartesian([_recession_box(rng, bounded, A @ xbar),
+                       SecondOrderCone(m2)])
 
     q0 = rng.vector(n)
     q = q0 - ((float(q0 @ xbar) + _MARGIN) / sq) * xbar

@@ -36,8 +36,9 @@ optimality residuals are the scaled difference norms:
     A x_n+1 - Pi_C(v_n+1) =  dy_n+1 / gamma        (exact by construction)
     Q x_n+1 + q + A.T y_n+1 = -dx_n+1 / gamma      (up to the inner tolerance)
 
-and the differences ``dy_n``, ``dx_n`` are the certificate candidates,
-exactly as in the Douglas-Rachford loop.
+(``tests/identities.py`` checks both), and the differences ``dy_n``,
+``dx_n`` are the certificate candidates, exactly as in the
+Douglas-Rachford loop.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class PpSolver:
             return cfg.inner_tol_abs
         if state.n < 1:
             return 1e-10
-        prim, dual = self.residuals(state)
+        prim, dual = self.stopping_residuals(state)
         return max(1e-12, min(1e-10, 1e-3 * max(prim, dual)))
 
     def initial_state(self, warm=None):
@@ -214,8 +215,7 @@ class PpSolver:
         v = P.A @ x + y / g
         z = P.C.project(v)
         return SolverState(n=0, x=x, y=y, v=v, z=z,
-                           dx=np.zeros(P.n), dy=np.zeros(P.m),
-                           dv=np.zeros(P.m), dz=np.zeros(P.m), inner_iters=0)
+                           dx=np.zeros(P.n), dy=np.zeros(P.m), inner_iters=0)
 
     def step(self, state: SolverState) -> SolverState:
         tol = self._effective_inner_tol(state)
@@ -223,32 +223,12 @@ class PpSolver:
             state.x, state.y, tol)
         return SolverState(
             n=state.n + 1, x=x_next, y=y_next, v=v_next, z=z_next,
-            dx=x_next - state.x, dy=y_next - state.y,
-            dv=v_next - state.v, dz=z_next - state.z,
-            inner_iters=iters)
+            dx=x_next - state.x, dy=y_next - state.y, inner_iters=iters)
 
-    def residuals(self, state: SolverState):
+    def stopping_residuals(self, state: SolverState):
         """Residual norms from the scaled differences."""
-        if state.n < 1:
-            raise ValueError("residuals need at least one completed iteration")
         g = self.config.gamma
         return inf_norm(state.dy) / g, inf_norm(state.dx) / g
-
-    def residual_vectors(self, state: SolverState):
-        """Both evaluations of each residual identity at this state.
-
-        Returns ``(prim_delta, dual_delta, prim_direct, dual_direct)``;
-        the primal pair agrees exactly, the dual pair up to the inner
-        tolerance divided by gamma.
-        """
-        P, g = self.problem, self.config.gamma
-        prim_delta = state.dy / g
-        dual_delta = -state.dx / g
-        prim_direct = P.A @ state.x - state.z
-        dual_direct = P.Q @ state.x + P.q + g * (P.A.T @ (state.v - state.z))
-        return prim_delta, dual_delta, prim_direct, dual_direct
-
-    stopping_residuals = residuals
 
     def check_termination(self, state: SolverState):
         """The driver's tests, with this module's certificate checkers."""

@@ -489,7 +489,3 @@ class Cartesian(SetDescriptor):
         return ProjectionJacobian.concat(
             [part._jacobian(v[sl]) for part, sl in self._slices()])
 
-
-def whole_space(dim):
-    """The unconstrained set, expressed as a box with infinite bounds."""
-    return Box(np.full(dim, -np.inf), np.full(dim, np.inf))

@@ -27,6 +27,7 @@ from splitqp.problem import (ProblemData, check_dual_certificate,
 from splitqp.sets import Box, Halfspace, SecondOrderCone
 
 from cesaro import cesaro_oracle, cesaro_triple
+from identities import residual_vectors, step_pairs
 
 FAMILIES = ["box", "orthant", "translated_cone", "box_soc"]
 SET_KINDS = ["box", "orthant", "zero", "singleton", "halfspace", "ball",
@@ -154,19 +155,15 @@ def test_acceptance_3_residual_identities():
         n, m = 2 + i % 4, 4 + i % 3
         b = gens[i % 3](44000 + i, n, m, FAMILIES[i % 4])
         dr = DrSolver(b.problem, DrConfig())
-        state = dr.initial_state()
-        for _ in range(200):
-            state = dr.step(state)
-            pd, dd, pdir, ddir = dr.residual_vectors(state)
+        for prev, cur in step_pairs(dr, 200):
+            pd, dd, pdir, ddir = residual_vectors(dr, prev, cur)
             worst_dr = max(
                 worst_dr,
                 np.max(np.abs(pd - pdir)) / (1 + np.max(np.abs(pdir))),
                 np.max(np.abs(dd - ddir)) / (1 + np.max(np.abs(ddir))))
         pp = PpSolver(b.problem, PpConfig(inner_tol_abs=inner_tol))
-        state = pp.initial_state()
-        for _ in range(200):
-            state = pp.step(state)
-            pd, dd, pdir, ddir = pp.residual_vectors(state)
+        for prev, cur in step_pairs(pp, 200):
+            pd, dd, pdir, ddir = residual_vectors(pp, prev, cur)
             worst_pp = max(
                 worst_pp,
                 np.max(np.abs(pd - pdir)) / (1 + np.max(np.abs(pdir))),

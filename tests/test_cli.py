@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,11 @@ import pytest
 
 from splitqp import fileio
 from splitqp.cli import EXIT_BREAKDOWN, EXIT_CODES, main
+from splitqp.dr import DrConfig
 from splitqp.instances import SET_FAMILIES, generate
-from splitqp.problem import ProblemData
+from splitqp.outcome import DUAL_INFEASIBLE, SolveOutcome
+from splitqp.pp import PpConfig
+from splitqp.problem import Certificate, ProblemData
 from splitqp.sets import Box, Cartesian, SecondOrderCone, TranslatedCone
 
 inf = np.inf
@@ -283,6 +287,59 @@ def test_inner_breakdown_is_not_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown: inner solve did not reach")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("solver", ["dr", "pp"])
+def test_overflow_is_a_breakdown(tmp_path, capsys, solver):
+    # finite, valid data whose A'A overflows: DR's subproblem matrix and
+    # PP's Newton residual turn non-finite once the solver starts
+    P = ProblemData(Q=np.zeros((1, 1)), q=[1.0], A=[[1e200]],
+                    C=Box([-1.0], [1.0]))
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, P)
+    out = tmp_path / "o.json"
+    code = main(["solve", str(path), "--solver", solver, "--out", str(out)])
+    assert code == EXIT_BREAKDOWN
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: ")
+    assert "non-finite entries" in err
+    assert not out.exists()
+
+
+def test_bad_flag_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, feasible_problem())
+    out = tmp_path / "o.json"
+    assert main(["solve", str(path), "--alpha", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: alpha out of range")
+    assert main(["solve", str(path), "--solver", "pp", "--gamma", "0",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver,config",
+                         [("dr", DrConfig()), ("pp", PpConfig())])
+def test_solve_defaults_are_the_config_defaults(tmp_path, solver, config):
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, feasible_problem())
+    out = tmp_path / "o.json"
+    assert main(["solve", str(path), "--solver", solver,
+                 "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["config_echo"]
+    assert echo == {"solver": solver, **dataclasses.asdict(config)}
+
+
+def test_outcome_encodes_negative_infinite_metric():
+    cert = Certificate(kind="dual_infeasibility", vector=np.array([1.0]),
+                       metrics={"norm_Q_x": 1.6, "dist_rec": 0.0,
+                                "q_dot_x": -math.inf, "eps": 1e-6})
+    result = SolveOutcome(status=DUAL_INFEASIBLE, iterations=25,
+                          certificate=cert, residuals=(0.5, 0.25))
+    metrics = json.loads(fileio.dumps_outcome(result, {}))["certificate"][
+        "metrics"]
+    assert metrics == {"norm_Q_x": 1.6, "dist_rec": 0.0, "q_dot_x": "-inf",
+                       "eps": 1e-6}
 
 
 def test_warm_start_file(tmp_path):

@@ -6,9 +6,12 @@ from splitqp.dr import DrConfig, DrSolver, dr_run
 from splitqp.driver import iterate
 from splitqp.instances import (gen_dual_infeasible, gen_feasible,
                                gen_primal_infeasible)
+from splitqp.linalg import inf_norm
 from splitqp.outcome import MAX_ITERATIONS
 from splitqp.problem import ProblemData
 from splitqp.sets import Box, Zero
+
+from identities import aux_differences, residual_vectors, step_pairs
 
 inf = np.inf
 
@@ -66,10 +69,10 @@ def test_kkt_warm_start_is_fixed_point():
     b = gen_feasible(7, 4, 6, "box")
     x, z, y = b.truth["x"], b.truth["z"], b.truth["y"]
     solver = DrSolver(b.problem)
-    state = solver.step(solver.initial_state((x, z + y)))
+    prev, state = next(step_pairs(solver, 1, warm=(x, z + y)))
     assert np.max(np.abs(state.x - x)) <= 1e-10
     assert np.max(np.abs(state.v - (z + y))) <= 1e-10
-    prim, dual = solver.residuals(state)
+    prim, dual = map(inf_norm, residual_vectors(solver, prev, state)[:2])
     assert prim <= 1e-10 and dual <= 1e-10
 
 
@@ -92,21 +95,12 @@ def test_residual_identities_on_random_instances():
     for i in range(6):
         b = gens[i % 3](400 + i, 3 + i % 3, 5 + i % 2, FAMILIES[i % 4])
         solver = DrSolver(b.problem)
-        state = solver.initial_state()
-        for _ in range(200):
-            state = solver.step(state)
-            pd, dd, pdir, ddir = solver.residual_vectors(state)
+        for prev, state in step_pairs(solver, 200):
+            pd, dd, pdir, ddir = residual_vectors(solver, prev, state)
             tol_p = 1e-10 * (1.0 + np.max(np.abs(pdir)))
             tol_d = 1e-10 * (1.0 + np.max(np.abs(ddir)))
             assert np.max(np.abs(pd - pdir)) <= tol_p
             assert np.max(np.abs(dd - ddir)) <= tol_d
-
-
-def test_residuals_before_first_step_raise():
-    b = gen_feasible(1, 2, 3, "box")
-    solver = DrSolver(b.problem)
-    with pytest.raises(ValueError):
-        solver.residuals(solver.initial_state())
 
 
 def test_residuals_decrease_on_feasible_instance():
@@ -123,12 +117,10 @@ def test_residuals_decrease_on_feasible_instance():
 def test_primal_residual_stalls_on_infeasible_instance():
     P = disjoint_interval_problem()
     solver = DrSolver(P, DrConfig(max_iter=10**6))
-    state = solver.initial_state()
     norms = []
-    for _ in range(400):
-        state = solver.step(state)
+    for prev, state in step_pairs(solver, 400):
         norms.append(np.max(np.abs(state.dy)))
-    prim, _ = solver.residuals(state)
+    prim = inf_norm(residual_vectors(solver, prev, state)[0])
     assert prim > 0.1                      # stalls strictly positive
     assert abs(norms[-1] - norms[-2]) <= 1e-9   # ||dy|| has stabilized
 
@@ -190,18 +182,16 @@ def test_one_step_map_is_nonexpansive():
 def test_delta_differences_decay():
     b = gen_primal_infeasible(31, 3, 4, "box")
     solver = DrSolver(b.problem, DrConfig(max_iter=10**6))
-    state = solver.initial_state()
-    prev = None
+    last = None
     at_50 = at_5000 = None
-    for _ in range(5000):
-        state = solver.step(state)
-        cur = np.concatenate([state.dx, state.dv])
-        if prev is not None:
+    for prev, state in step_pairs(solver, 5000):
+        cur = np.concatenate([state.dx, aux_differences(prev, state)[0]])
+        if last is not None:
             if state.n == 50:
-                at_50 = np.linalg.norm(cur - prev)
+                at_50 = np.linalg.norm(cur - last)
             elif state.n == 5000:
-                at_5000 = np.linalg.norm(cur - prev)
-        prev = cur
+                at_5000 = np.linalg.norm(cur - last)
+        last = cur
     assert at_5000 <= 1e-2 * at_50
 
 
@@ -230,10 +220,11 @@ def test_trace_records():
 
 
 def _detect(solver):
-    for state, out in iterate(solver):
-        pass
+    state = None
+    for cur, out in iterate(solver):
+        prev, state = state, cur
     assert out.status != MAX_ITERATIONS, "no detection within the budget"
-    return out, state
+    return out, prev, state
 
 
 def test_structural_limits_at_detection():
@@ -242,8 +233,9 @@ def test_structural_limits_at_detection():
             b = gen(base + i, 3 + i, 5 + i, fam)
             P = b.problem
             cfg = DrConfig()
-            _, state = _detect(DrSolver(P, cfg))
-            dx, dy, dz = state.dx, state.dy, state.dz
+            _, prev, state = _detect(DrSolver(P, cfg))
+            dx, dy = state.dx, state.dy
+            dz = aux_differences(prev, state)[1]
             assert np.max(np.abs(P.Q @ dx)) <= 1e-5 * (1 + np.max(np.abs(dx)))
             assert np.max(np.abs(P.A.T @ dy)) <= 1e-5 * (1 + np.max(np.abs(dy)))
             assert np.max(np.abs(P.A @ dx - dz)) <= 1e-5 * (1 + np.max(np.abs(dx)))
@@ -253,11 +245,10 @@ def test_cesaro_consistency_on_infeasible_instance():
     # running averages of the iterates approach the difference limits
     b = gen_primal_infeasible(321, 3, 4, "box")
     solver = DrSolver(b.problem, DrConfig(max_iter=10**6))
-    state = solver.initial_state()
-    for _ in range(10**5):
-        state = solver.step(state)
+    for prev, state in step_pairs(solver, 10**5):
+        pass
     avg = np.concatenate([state.x, state.v]) / state.n
-    delta = np.concatenate([state.dx, state.dv])
+    delta = np.concatenate([state.dx, aux_differences(prev, state)[0]])
     gap = np.linalg.norm(avg - delta)
     assert gap <= 1e-3 * (1.0 + np.linalg.norm(delta))
 

@@ -8,11 +8,18 @@ from splitqp.instances import (gen_dual_infeasible, gen_feasible,
 from splitqp.pp import InnerSolveError, PpConfig, PpSolver, pp_run
 from splitqp.outcome import MAX_ITERATIONS
 from splitqp.problem import ProblemData
-from splitqp.sets import Box, whole_space
+from splitqp.sets import Box
+
+from identities import aux_differences, residual_vectors, step_pairs
 
 inf = np.inf
 
 FAMILIES = ["box", "orthant", "translated_cone", "box_soc"]
+
+
+def whole_space(dim):
+    """The unconstrained set, a box with infinite bounds."""
+    return Box(np.full(dim, -inf), np.full(dim, inf))
 
 
 def test_config_validation():
@@ -86,11 +93,9 @@ def test_residual_identities():
     for i in range(6):
         b = gens[i % 3](700 + i, 3 + i % 3, 5, FAMILIES[i % 4])
         solver = PpSolver(b.problem, PpConfig(inner_tol_abs=1e-11))
-        state = solver.initial_state()
         tol = max(1e-10, 10 * 1e-11)
-        for _ in range(150):
-            state = solver.step(state)
-            pd, dd, pdir, ddir = solver.residual_vectors(state)
+        for prev, state in step_pairs(solver, 150):
+            pd, dd, pdir, ddir = residual_vectors(solver, prev, state)
             assert np.max(np.abs(pd - pdir)) <= tol * (1 + np.max(np.abs(pdir)))
             assert np.max(np.abs(dd - ddir)) <= tol * (1 + np.max(np.abs(ddir)))
 
@@ -178,7 +183,7 @@ def test_dual_residual_stabilizes_on_unbounded_instance():
     values = []
     for _ in range(200):
         state = solver.step(state)
-        values.append(solver.residuals(state)[1])
+        values.append(solver.stopping_residuals(state)[1])
     assert values[-1] > 0.1
     assert abs(values[-1] - values[-2]) <= 1e-9
 
@@ -217,10 +222,11 @@ def test_trace_records_include_inner_iterations():
 
 
 def _detect(solver):
-    for state, out in iterate(solver):
-        pass
+    state = None
+    for cur, out in iterate(solver):
+        prev, state = state, cur
     assert out.status != MAX_ITERATIONS, "no detection within the budget"
-    return out, state
+    return out, prev, state
 
 
 def test_structural_limits_at_detection():
@@ -229,8 +235,9 @@ def test_structural_limits_at_detection():
             b = gen(base + i, 3 + i, 5 + i, fam)
             P = b.problem
             cfg = PpConfig()
-            _, state = _detect(PpSolver(P, cfg))
-            dx, dy, dz = state.dx, state.dy, state.dz
+            _, prev, state = _detect(PpSolver(P, cfg))
+            dx, dy = state.dx, state.dy
+            dz = aux_differences(prev, state)[1]
             assert np.max(np.abs(P.Q @ dx)) <= 1e-5 * (1 + np.max(np.abs(dx)))
             assert np.max(np.abs(P.A.T @ dy)) <= 1e-5 * (1 + np.max(np.abs(dy)))
             assert np.max(np.abs(P.A @ dx - dz)) <= 1e-5 * (1 + np.max(np.abs(dx)))
@@ -242,10 +249,10 @@ def test_cesaro_consistency_and_dv_structure():
     b = gen_primal_infeasible(321, 3, 4, "box")
     cfg = PpConfig(max_iter=10**6)
     solver = PpSolver(b.problem, cfg)
-    state = solver.initial_state()
-    for _ in range(10**5):
-        state = solver.step(state)
+    for prev, state in step_pairs(solver, 10**5):
+        pass
     gap = np.linalg.norm(state.x / state.n - state.dx)
     assert gap <= 1e-3 * (1.0 + np.linalg.norm(state.dx))
-    dv_structure = state.dv - (b.problem.A @ state.dx + state.dy / cfg.gamma)
-    assert np.linalg.norm(dv_structure) <= 1e-6 * (1.0 + np.linalg.norm(state.dv))
+    dv = aux_differences(prev, state)[0]
+    dv_structure = dv - (b.problem.A @ state.dx + state.dy / cfg.gamma)
+    assert np.linalg.norm(dv_structure) <= 1e-6 * (1.0 + np.linalg.norm(dv))

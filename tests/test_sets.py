@@ -7,7 +7,7 @@ import pytest
 from splitqp.linalg import inf_norm
 from splitqp.sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
                           SecondOrderCone, SetDescriptor, Singleton,
-                          TranslatedCone, Zero, whole_space)
+                          TranslatedCone, Zero)
 
 from cesaro import cesaro_oracle, cesaro_triple
 
@@ -189,7 +189,8 @@ def test_descriptor_validation():
 
 
 def test_whole_space():
-    S = whole_space(3)
+    # the unconstrained set is a box with infinite bounds
+    S = Box(np.full(3, -inf), np.full(3, inf))
     v = np.array([4.0, -7.0, 0.1])
     assert np.allclose(S.project(v), v)
     assert S.support(np.zeros(3)) == 0.0
