@@ -4,7 +4,9 @@ Exit codes for ``solve``: 0 solved, 10 primal infeasible, 11 dual
 infeasible, 12 iteration limit, 2 input error, 3 numerical breakdown
 (building or running the solver failed on valid input, e.g. PP's inner
 solve did not converge or DR's subproblem matrix overflowed; no outcome
-is written). Flags left unset take the solver config's defaults.
+is written). Flags left unset take the solver config's defaults;
+``--alpha`` (DR) and ``--gamma`` (PP) given to the other solver are input
+errors.
 ``check`` exits 0 when the candidate certificate passes, 1 when it
 fails, 2 on input errors.
 """
@@ -14,6 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+
+import numpy as np
 
 from . import fileio
 from . import outcome as oc
@@ -74,6 +78,9 @@ def _build_parser():
 
 
 def _cmd_solve(args):
+    for flag, owner in (("alpha", "dr"), ("gamma", "pp")):
+        if getattr(args, flag) is not None and args.solver != owner:
+            raise ValueError(f"--{flag} applies only to --solver {owner}")
     problem, _ = fileio.load_problem(args.path)
     if args.solver == "dr":
         config_cls, solver_cls, dual_key = DrConfig, DrSolver, "v"
@@ -85,8 +92,11 @@ def _cmd_solve(args):
     warm = (fileio.load_warm(args.warm, "x", dual_key, problem.n, problem.m)
             if args.warm else None)
     try:
-        solver = solver_cls(problem, config)
-        result = solver.run(warm=warm, collect_trace=args.trace is not None)
+        # a breakdown reports itself in one line, without numpy's warnings
+        with np.errstate(all="ignore"):
+            solver = solver_cls(problem, config)
+            result = solver.run(warm=warm,
+                                collect_trace=args.trace is not None)
     except (InnerSolveError, ValueError) as exc:
         # the input passed validation, so this is a numerical failure
         print(f"numerical breakdown: {exc}", file=sys.stderr)

@@ -84,12 +84,16 @@ class DrSolver:
             n=state.n + 1, x=x_next, v=v_next, z=z_next, y=y_next,
             dx=x_next - state.x, dy=y_next - state.y)
 
-    def stopping_residuals(self, state: SolverState):
-        """Residual norms evaluated directly at the current iterate."""
+    def stopping_residuals(self, state: SolverState, products=None):
+        """Residual norms evaluated directly at the current iterate.
+
+        ``products`` passes ``(A x, Q x, A.T y)`` when they are known.
+        """
         P = self.problem
-        prim = inf_norm(P.A @ state.x - state.z)
-        dual = inf_norm(P.Q @ state.x + P.q + P.A.T @ state.y)
-        return prim, dual
+        if products is None:
+            products = P.A @ state.x, P.Q @ state.x, P.A.T @ state.y
+        Ax, Qx, Aty = products
+        return inf_norm(Ax - state.z), inf_norm(Qx + P.q + Aty)
 
     def check_termination(self, state: SolverState):
         """The driver's tests, with this module's certificate checkers."""

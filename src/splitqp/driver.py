@@ -1,10 +1,12 @@
 """The iteration driver both solvers share.
 
 A solver supplies ``problem``, ``config``, ``initial_state``, ``step``,
-``check_termination`` and ``stopping_residuals``, the residual norms its
-optimality test, trace and ``max_iterations`` outcome report; config
-validation, the state, warm starts, the termination and certificate
-tests, the trace record and the run loop live here once.
+``check_termination`` and ``stopping_residuals(state, products=None)``,
+the residual norms its optimality test, trace and ``max_iterations``
+outcome report (``products`` passes ``(A x, Q x, A.T y)`` when the
+caller has them). Config validation, the state, warm starts, the
+termination and certificate tests, the trace record and the run loop
+live here once.
 """
 
 from __future__ import annotations
@@ -106,10 +108,10 @@ def terminate(solver, state, check_primal, check_dual):
     when no test passes.
     """
     P, cfg = solver.problem, solver.config
-    prim, dual = solver.stopping_residuals(state)
     Ax = P.A @ state.x
     Qx = P.Q @ state.x
     Aty = P.A.T @ state.y
+    prim, dual = solver.stopping_residuals(state, (Ax, Qx, Aty))
     eps_prim = cfg.eps_abs + cfg.eps_rel * max(inf_norm(Ax), inf_norm(state.z))
     eps_dual = cfg.eps_abs + cfg.eps_rel * max(
         inf_norm(Qx), inf_norm(P.q), inf_norm(Aty))

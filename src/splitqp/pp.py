@@ -30,6 +30,13 @@ block on a curved boundary refactors at every step. For polyhedral C,
 F is piecewise affine, so once the pattern settles a Newton step costs
 one ``cho_solve`` and no factorization.
 
+Each outer step starts at ``x_n``, where the previous step's last F
+evaluation already computed ``A x_n`` and ``S x_n`` (``S = I + gamma Q``);
+the solver keeps both and the start evaluation reuses them. It still
+computes ``u = A x_n + y_n / gamma``, the projection and
+``A.T (u - Pi_C(u))``, which move with ``y``. A warm start, a new solver
+or an ``InnerSolveError`` recomputes them.
+
 With ``v_n+1 = A x_n+1 + y_n / gamma`` and ``z = Pi_C(v)``, the
 optimality residuals are the scaled difference norms:
 
@@ -108,20 +115,33 @@ class PpSolver:
     def __init__(self, problem: ProblemData, config: PpConfig = None):
         self.problem = problem
         self.config = config if config is not None else PpConfig()
-        self._S = np.eye(problem.n) + self.config.gamma * problem.Q
+        g = self.config.gamma
+        self._S = np.eye(problem.n) + g * problem.Q
+        self._gq = g * problem.q
+        self._g2 = g * g
         # Newton-matrix caches: cone-block Gram matrices, and the last
         # Cholesky factor with the active pattern it was built for
         self._grams = {}
         self._factor = None
         self._factor_key = None
+        # (x, (A x, S x)) from the last F evaluation of the last completed
+        # resolvent solve, where x is the array it returned
+        self._last = None
 
-    def _f_value(self, x, x_prev, u_base):
-        """``(F(x), u, Pi_C(u))``; ``u_base = y_prev / gamma`` is fixed."""
-        P, g = self.problem, self.config.gamma
-        u = P.A @ x + u_base
+    def _f_value(self, x, x_prev, u_base, products=None):
+        """``(F(x), ||F(x)||_inf, u, Pi_C(u), (A x, S x))``.
+
+        ``u_base = y_prev / gamma`` is fixed; ``products`` passes
+        ``(A x, S x)`` when they are already known.
+        """
+        P = self.problem
+        if products is None:
+            products = P.A @ x, self._S @ x
+        Ax, Sx = products
+        u = Ax + u_base
         z = P.C.project(u)
-        return (self._S @ x - x_prev + g * P.q + (g * g) * (P.A.T @ (u - z)),
-                u, z)
+        Fx = Sx - x_prev + self._gq + self._g2 * (P.A.T @ (u - z))
+        return Fx, inf_norm(Fx), u, z, products
 
     def newton_matrix(self, jac):
         """``I + gamma Q + gamma^2 A.T (I - D) A`` for a structured D.
@@ -155,14 +175,20 @@ class PpSolver:
         ``||F(x_next)||_inf <= tol``, where ``u = A x_next + y_prev / gamma``
         and ``z = Pi_C(u)`` come from the last F evaluation. Raises
         InnerSolveError if the inner iteration budget runs out.
+
+        When ``x_prev`` is the array the previous call returned, the start
+        evaluation reuses that call's ``A x`` and ``S x``, so the arrays a
+        step returns must not be changed in place.
         """
-        P, cfg, g = self.problem, self.config, self.config.gamma
-        u_base = y_prev / g
+        P, cfg = self.problem, self.config
+        u_base = y_prev / cfg.gamma
+        last, self._last = self._last, None
+        products = last[1] if last is not None and last[0] is x_prev else None
         x = np.asarray(x_prev, dtype=float).copy()
-        Fx, u, z = self._f_value(x, x_prev, u_base)
+        Fx, norm, u, z, products = self._f_value(x, x_prev, u_base, products)
         iters = 0
-        best_x, best_norm = x, inf_norm(Fx)
-        while inf_norm(Fx) > tol:
+        best_x, best_norm = x, norm
+        while norm > tol:
             if iters >= cfg.inner_max_iter:
                 raise InnerSolveError(
                     f"inner solve did not reach tolerance {tol:g} within "
@@ -180,24 +206,23 @@ class PpSolver:
                 self._factor_key = key
             step = scipy.linalg.cho_solve(self._factor, -Fx,
                                           check_finite=False)
-            norm_Fx = inf_norm(Fx)
             t = 1.0
             while t > 1e-12:
                 x_trial = x + t * step
                 trial = self._f_value(x_trial, x_prev, u_base)
-                if inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
+                if trial[1] <= (1.0 - 1e-4 * t) * norm:
                     break
                 t *= 0.5
             else:  # no sufficient decrease found; take the full step
                 x_trial = x + step
                 trial = self._f_value(x_trial, x_prev, u_base)
             x = x_trial
-            Fx, u, z = trial
+            Fx, norm, u, z, products = trial
             iters += 1
-            norm = inf_norm(Fx)
             if norm < best_norm:
                 best_x, best_norm = x, norm
-        return x, g * (u - z), iters, u, z
+        self._last = x, products
+        return x, cfg.gamma * (u - z), iters, u, z
 
     def _effective_inner_tol(self, state):
         cfg = self.config
@@ -225,8 +250,8 @@ class PpSolver:
             n=state.n + 1, x=x_next, y=y_next, v=v_next, z=z_next,
             dx=x_next - state.x, dy=y_next - state.y, inner_iters=iters)
 
-    def stopping_residuals(self, state: SolverState):
-        """Residual norms from the scaled differences."""
+    def stopping_residuals(self, state: SolverState, products=None):
+        """Residual norms from the scaled differences; ``products`` is unused."""
         g = self.config.gamma
         return inf_norm(state.dy) / g, inf_norm(state.dx) / g
 

@@ -34,6 +34,16 @@ CONE_MEMBERSHIP_TOL = 1e-12
 HALFSPACE_PARALLEL_TOL = 1e-9
 
 
+def _norm(v):
+    """``np.linalg.norm(v)`` of a 1-d float vector, without its wrapper.
+
+    The same dot product of the raveled vector and the same correctly
+    rounded square root, so the value is bitwise numpy's.
+    """
+    v = v.ravel()
+    return math.sqrt(float(v.dot(v)))
+
+
 def _as_bounds(x, name):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -148,14 +158,16 @@ class SetDescriptor:
 
     def distance_to_recession(self, d):
         """Euclidean distance of ``d`` from the recession cone."""
-        return float(np.linalg.norm(self.project_polar_recession(d)))
+        return _norm(self.project_polar_recession(d))
 
 
 class Box(SetDescriptor):
     """Axis-aligned box ``{v : lower <= v <= upper}``.
 
     Bounds may be infinite; a box with all bounds infinite is the whole
-    space. Nonempty by construction (lower <= upper enforced).
+    space. Nonempty by construction (lower <= upper enforced). The bounds
+    are read-only after construction: the kernels cache data derived
+    from them.
     """
 
     def __init__(self, lower, upper):
@@ -169,6 +181,9 @@ class Box(SetDescriptor):
             raise ValueError("box is empty: some lower bound exceeds its upper bound")
         self.lower = lower
         self.upper = upper
+        self._bound_pairs = list(zip(lower.tolist(), upper.tolist()))
+        self._rec_lower = np.where(np.isinf(lower), -np.inf, 0.0)
+        self._rec_upper = np.where(np.isinf(upper), np.inf, 0.0)
 
     @property
     def dim(self):
@@ -181,7 +196,7 @@ class Box(SetDescriptor):
 
     def _support(self, y, cone_tol):
         total = 0.0
-        for li, ui, yi in zip(self.lower, self.upper, y):
+        for (li, ui), yi in zip(self._bound_pairs, y.tolist()):
             if yi > 0.0:
                 if math.isinf(ui):
                     return math.inf
@@ -194,9 +209,7 @@ class Box(SetDescriptor):
         return total
 
     def _recession(self, d):
-        rec_lower = np.where(np.isinf(self.lower), -np.inf, 0.0)
-        rec_upper = np.where(np.isinf(self.upper), np.inf, 0.0)
-        return np.clip(d, rec_lower, rec_upper)
+        return np.clip(d, self._rec_lower, self._rec_upper)
 
     def _jacobian(self, v):
         free = (v > self.lower) & (v < self.upper)
@@ -307,11 +320,11 @@ class Halfspace(SetDescriptor):
 
     def _support(self, y, cone_tol):
         # finite only for y = t * normal with t >= 0, then equals offset * t
-        ny = float(np.linalg.norm(y))
+        ny = _norm(y)
         if ny == 0.0:
             return 0.0
         t = float(self.normal @ y) / self._sqnorm
-        residual = float(np.linalg.norm(y - t * self.normal))
+        residual = _norm(y - t * self.normal)
         aligned = residual <= HALFSPACE_PARALLEL_TOL * ny
         nonneg = float(self.normal @ y) >= -HALFSPACE_PARALLEL_TOL * ny * math.sqrt(self._sqnorm)
         if aligned and nonneg:
@@ -346,20 +359,20 @@ class Ball(SetDescriptor):
 
     def _project(self, v):
         diff = v - self.center
-        rho = float(np.linalg.norm(diff))
+        rho = _norm(diff)
         if rho <= self.radius:
             return v.copy()
         return self.center + (self.radius / rho) * diff
 
     def _support(self, y, cone_tol):
-        return float(self.center @ y) + self.radius * float(np.linalg.norm(y))
+        return float(self.center @ y) + self.radius * _norm(y)
 
     def _recession(self, d):
         return np.zeros(self.dim)
 
     def _jacobian(self, v):
         diff = v - self.center
-        rho = float(np.linalg.norm(diff))
+        rho = _norm(diff)
         if rho < self.radius:
             return ProjectionJacobian(np.ones(self.dim))
         if rho == 0.0:
@@ -378,7 +391,7 @@ class SecondOrderCone(_Cone):
 
     def _project(self, v):
         t, x = v[0], v[1:]
-        rho = float(np.linalg.norm(x))
+        rho = _norm(x)
         if rho <= t:
             return v.copy()
         if rho <= -t:
@@ -391,11 +404,11 @@ class SecondOrderCone(_Cone):
 
     def _polar_distance(self, y):
         # y minus its projection -proj_K(-y) onto the polar cone -K
-        return inf_norm(y - -self._project(-y))
+        return inf_norm(y + self._project(-y))
 
     def _jacobian(self, v):
         t, x = v[0], v[1:]
-        rho = float(np.linalg.norm(x))
+        rho = _norm(x)
         if rho <= -t:
             return ProjectionJacobian(np.zeros(self._dim))
         if rho < t:
@@ -454,25 +467,24 @@ class Cartesian(SetDescriptor):
             if not isinstance(p, SetDescriptor):
                 raise ValueError("cartesian parts must be set descriptors")
         self.parts = parts
-        self._offsets = np.cumsum([0] + [p.dim for p in parts])
+        offsets = np.cumsum([0] + [p.dim for p in parts]).tolist()
+        self._dim = offsets[-1]
+        self._slices = [(part, slice(lo, hi)) for part, lo, hi
+                        in zip(parts, offsets, offsets[1:])]
 
     @property
     def dim(self):
-        return int(self._offsets[-1])
-
-    def _slices(self):
-        for part, lo, hi in zip(self.parts, self._offsets, self._offsets[1:]):
-            yield part, slice(int(lo), int(hi))
+        return self._dim
 
     def _project(self, v):
         out = np.empty(self.dim)
-        for part, sl in self._slices():
+        for part, sl in self._slices:
             out[sl] = part._project(v[sl])
         return out
 
     def _support(self, y, cone_tol):
         total = 0.0
-        for part, sl in self._slices():
+        for part, sl in self._slices:
             val = part._support(y[sl], cone_tol)
             if math.isinf(val):
                 return math.inf
@@ -481,11 +493,11 @@ class Cartesian(SetDescriptor):
 
     def _recession(self, d):
         out = np.empty(self.dim)
-        for part, sl in self._slices():
+        for part, sl in self._slices:
             out[sl] = part._recession(d[sl])
         return out
 
     def _jacobian(self, v):
         return ProjectionJacobian.concat(
-            [part._jacobian(v[sl]) for part, sl in self._slices()])
+            [part._jacobian(v[sl]) for part, sl in self._slices])
 

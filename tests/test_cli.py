@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import splitqp
 from splitqp import fileio
 from splitqp.cli import EXIT_BREAKDOWN, EXIT_CODES, main
 from splitqp.dr import DrConfig
@@ -316,6 +321,52 @@ def test_bad_flag_is_an_input_error(tmp_path, capsys):
     assert main(["solve", str(path), "--solver", "pp", "--gamma", "0",
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("solver,flag,value,owner",
+                         [("pp", "--alpha", "3", "dr"),
+                          ("pp", "--alpha", "1.0", "dr"),
+                          ("dr", "--gamma", "-5", "pp"),
+                          ("dr", "--gamma", "2", "pp")])
+def test_flag_for_the_other_solver_is_an_input_error(tmp_path, capsys, solver,
+                                                     flag, value, owner):
+    path = tmp_path / "p.json"
+    fileio.save_bundle(path, generate("feasible", 5, 3, 4))
+    out = tmp_path / "o.json"
+    assert main(["solve", str(path), "--solver", solver, flag, value,
+                 "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: {flag} applies only to --solver {owner}\n")
+    assert not out.exists()
+
+
+def _solve_subprocess(path, solver, out):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(splitqp.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+    return subprocess.run(
+        [sys.executable, "-m", "splitqp.cli", "solve", str(path),
+         "--solver", solver, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("solver", ["dr", "pp"])
+def test_cli_stderr_is_one_line(tmp_path, solver):
+    # the overflow breakdown reports itself without numpy's warnings
+    P = ProblemData(Q=np.zeros((1, 1)), q=[1.0], A=[[1e200]],
+                    C=Box([-1.0], [1.0]))
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, P)
+    out = tmp_path / "o.json"
+    proc = _solve_subprocess(path, solver, out)
+    assert proc.returncode == EXIT_BREAKDOWN
+    assert re.fullmatch(r"numerical breakdown: [^\n]*\n", proc.stderr), \
+        proc.stderr
+    assert not out.exists()
+    fileio.save_problem(path, feasible_problem())
+    proc = _solve_subprocess(path, solver, out)
+    assert proc.returncode == 0
+    assert re.fullmatch(r"status: solved after \d+ iterations\n",
+                        proc.stderr), proc.stderr
 
 
 @pytest.mark.parametrize("solver,config",

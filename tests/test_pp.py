@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from splitqp.dr import dr_run
 from splitqp.driver import iterate
 from splitqp.instances import (gen_dual_infeasible, gen_feasible,
-                               gen_primal_infeasible)
+                               gen_primal_infeasible, generate)
+from splitqp.linalg import inf_norm
 from splitqp.pp import InnerSolveError, PpConfig, PpSolver, pp_run
 from splitqp.outcome import MAX_ITERATIONS
 from splitqp.problem import ProblemData
@@ -256,3 +258,125 @@ def test_cesaro_consistency_and_dv_structure():
     dv = aux_differences(prev, state)[0]
     dv_structure = dv - (b.problem.A @ state.dx + state.dy / cfg.gamma)
     assert np.linalg.norm(dv_structure) <= 1e-6 * (1.0 + np.linalg.norm(dv))
+
+
+# ------------------------------------------- the resolvent before its reuse
+
+class _ReferencePpSolver(PpSolver):
+    """``resolvent_solve`` and ``_f_value`` as they were before the start
+    evaluation reused the previous step's ``A x`` and ``S x``: F is
+    evaluated from scratch at ``x_prev`` and each F value is normed where
+    it is tested."""
+
+    def _f_value(self, x, x_prev, u_base):
+        """``(F(x), u, Pi_C(u))``; ``u_base = y_prev / gamma`` is fixed."""
+        P, g = self.problem, self.config.gamma
+        u = P.A @ x + u_base
+        z = P.C.project(u)
+        return (self._S @ x - x_prev + g * P.q + (g * g) * (P.A.T @ (u - z)),
+                u, z)
+
+    def resolvent_solve(self, x_prev, y_prev, tol):
+        P, cfg, g = self.problem, self.config, self.config.gamma
+        u_base = y_prev / g
+        x = np.asarray(x_prev, dtype=float).copy()
+        Fx, u, z = self._f_value(x, x_prev, u_base)
+        iters = 0
+        best_x, best_norm = x, inf_norm(Fx)
+        while inf_norm(Fx) > tol:
+            if iters >= cfg.inner_max_iter:
+                raise InnerSolveError(
+                    f"inner solve did not reach tolerance {tol:g} within "
+                    f"{cfg.inner_max_iter} iterations "
+                    f"(best residual {best_norm:g})",
+                    best_x=best_x, residual_norm=best_norm, iterations=iters)
+            jac = P.C.projection_jacobian(u)
+            key = jac.pattern_key()
+            if key is None or key != self._factor_key:
+                self._factor = scipy.linalg.cho_factor(
+                    self.newton_matrix(jac), lower=True, check_finite=False)
+                self._factor_key = key
+            step = scipy.linalg.cho_solve(self._factor, -Fx,
+                                          check_finite=False)
+            norm_Fx = inf_norm(Fx)
+            t = 1.0
+            while t > 1e-12:
+                x_trial = x + t * step
+                trial = self._f_value(x_trial, x_prev, u_base)
+                if inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
+                    break
+                t *= 0.5
+            else:
+                x_trial = x + step
+                trial = self._f_value(x_trial, x_prev, u_base)
+            x = x_trial
+            Fx, u, z = trial
+            iters += 1
+            norm = inf_norm(Fx)
+            if norm < best_norm:
+                best_x, best_norm = x, norm
+        return x, g * (u - z), iters, u, z
+
+
+def _assert_states_bitwise(a, b):
+    assert a.n == b.n and a.inner_iters == b.inner_iters
+    for name in ("x", "y", "v", "z", "dx", "dy"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def _step_beside(new, ref, state_new, state_ref, steps):
+    for _ in range(steps):
+        state_new, state_ref = new.step(state_new), ref.step(state_ref)
+        _assert_states_bitwise(state_new, state_ref)
+        # the next start evaluation reuses this step's products
+        assert new._last[0] is state_new.x
+    return state_new, state_ref
+
+
+@pytest.mark.parametrize("n,m", [(5, 8), (20, 30)])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", ["feasible", "primal_infeasible",
+                                  "dual_infeasible"])
+def test_resolvent_reuse_matches_reference_bitwise(kind, family, n, m):
+    P = generate(kind, 1200 + n, n, m, family).problem
+    new, ref = PpSolver(P), _ReferencePpSolver(P)
+    _step_beside(new, ref, new.initial_state(), ref.initial_state(), 60)
+
+
+def test_resolvent_reuse_matches_reference_after_warm_start():
+    P = generate("feasible", 1240, 20, 30, "box_soc").problem
+    rng = np.random.default_rng(3)
+    warm = (rng.normal(size=P.n), rng.normal(size=P.m))
+    new, ref = PpSolver(P), _ReferencePpSolver(P)
+    _step_beside(new, ref, new.initial_state(), ref.initial_state(), 5)
+    # a warm start in the same solver recomputes its start products
+    _step_beside(new, ref, new.initial_state(warm), ref.initial_state(warm),
+                 30)
+
+
+def test_resolvent_reuse_matches_reference_after_inner_error():
+    P = generate("primal_infeasible", 1250, 20, 30, "box").problem
+    tight = PpConfig(inner_max_iter=1)
+    new, ref = PpSolver(P, tight), _ReferencePpSolver(P, tight)
+    s_new, s_ref = new.initial_state(), ref.initial_state()
+    exc_ref = None
+    for _ in range(200):
+        try:
+            next_ref = ref.step(s_ref)
+        except InnerSolveError as exc:
+            exc_ref = exc
+            break
+        s_new, s_ref = new.step(s_new), next_ref
+        _assert_states_bitwise(s_new, s_ref)
+    assert exc_ref is not None, "no step exceeded one inner iteration"
+    with pytest.raises(InnerSolveError) as info:
+        new.step(s_new)
+    exc_new = info.value
+    assert str(exc_new) == str(exc_ref)
+    assert exc_new.best_x.tobytes() == exc_ref.best_x.tobytes()
+    assert exc_new.iterations == exc_ref.iterations
+    assert new._last is None
+    # the same solvers, with their factor caches, resume from the last state
+    loose = PpConfig()
+    new.config = ref.config = loose
+    _step_beside(new, ref, s_new, s_ref, 30)

@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from splitqp import sets
 from splitqp.linalg import inf_norm
 from splitqp.sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
-                          SecondOrderCone, SetDescriptor, Singleton,
-                          TranslatedCone, Zero)
+                          ProjectionJacobian, SecondOrderCone, SetDescriptor,
+                          Singleton, TranslatedCone, Zero)
 
 from cesaro import cesaro_oracle, cesaro_triple
 
@@ -332,3 +333,209 @@ def test_jacobian_kink_convention_clamps():
     assert N.projection_jacobian([0.0]).dense()[0, 0] == 0.0
     H = Halfspace([1.0], 0.0)
     assert H.projection_jacobian([0.0]).dense()[0, 0] == 0.0
+
+
+# ------------------------------------------ kernels against their old forms
+# The kernels cache derived data and skip numpy's wrappers; each must
+# return bitwise what the expression it replaced returned.
+
+def _bits(value):
+    if isinstance(value, ProjectionJacobian):
+        return (_bits(value.d), value.curved, value.blocks,
+                [(start, _bits(U), _bits(N)) for start, U, N in value.terms])
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _old_norm(v):
+    return float(np.linalg.norm(v))
+
+
+def _old_box_support(B, y):
+    total = 0.0
+    for li, ui, yi in zip(B.lower, B.upper, y):
+        if yi > 0.0:
+            if math.isinf(ui):
+                return math.inf
+            total += ui * yi
+        elif yi < 0.0:
+            if math.isinf(li):
+                return math.inf
+            total += li * yi
+    return total
+
+
+def _old_box_recession(B, d):
+    rec_lower = np.where(np.isinf(B.lower), -np.inf, 0.0)
+    rec_upper = np.where(np.isinf(B.upper), np.inf, 0.0)
+    return np.clip(d, rec_lower, rec_upper)
+
+
+def test_box_kernels_match_old_forms():
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        d = trial % 7
+        lower = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4) - 1.0
+        upper = lower + rng.uniform(0.0, 3.0, size=d)
+        lower[rng.uniform(size=d) < 0.3] = -inf
+        upper[rng.uniform(size=d) < 0.3] = inf
+        B = Box(lower, upper)
+        y = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4)
+        y[rng.uniform(size=d) < 0.3] = 0.0
+        y[rng.uniform(size=d) < 0.2] = -0.0
+        # zeros against infinite bounds contribute nothing
+        for v in (y, np.where(np.isinf(lower) | np.isinf(upper), 0.0, y),
+                  np.where(np.isinf(lower) | np.isinf(upper), -0.0, y)):
+            assert _bits(B.support(v)) == _bits(_old_box_support(B, v))
+            assert (_bits(B.project_recession(v))
+                    == _bits(_old_box_recession(B, v)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_norm_kernels_match_numpy_norm():
+    rng = np.random.default_rng(43)
+    vectors = [np.zeros(0), np.array([-0.0]), np.array([1e200, 1e200]),
+               np.full(3, 1e-200), rng.normal(size=40)[::3]]
+    vectors += [rng.normal(size=k) * 10.0 ** rng.integers(-8, 9)
+                for k in range(1, 30)]
+    for v in vectors:
+        assert _bits(sets._norm(v)) == _bits(_old_norm(v))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_distance_to_recession_is_numpy_norm(kind):
+    rng = np.random.default_rng(47)
+    cases = random_sets(kind, 5, base_seed=13) + [Box([], [])]
+    for S in cases:
+        for _ in range(20):
+            d = rng.normal(size=S.dim) * 3.0
+            assert (_bits(S.distance_to_recession(d))
+                    == _bits(_old_norm(S.project_polar_recession(d))))
+
+
+def _old_ball_project(B, v):
+    diff = v - B.center
+    rho = _old_norm(diff)
+    if rho <= B.radius:
+        return v.copy()
+    return B.center + (B.radius / rho) * diff
+
+
+def _old_ball_jacobian(B, v):
+    diff = v - B.center
+    rho = _old_norm(diff)
+    if rho < B.radius:
+        return ProjectionJacobian(np.ones(B.dim))
+    if rho == 0.0:
+        return ProjectionJacobian(np.zeros(B.dim))
+    alpha = B.radius / rho
+    return ProjectionJacobian.scaled_block(
+        alpha, (diff / rho)[:, None], np.array([[-alpha]]))
+
+
+def _old_soc_project(K, v):
+    t, x = v[0], v[1:]
+    rho = _old_norm(x)
+    if rho <= t:
+        return v.copy()
+    if rho <= -t:
+        return np.zeros(K.dim)
+    scale = 0.5 * (t + rho)
+    out = np.empty(K.dim)
+    out[0] = scale
+    out[1:] = (scale / rho) * x
+    return out
+
+
+def _old_soc_jacobian(K, v):
+    t, x = v[0], v[1:]
+    rho = _old_norm(x)
+    if rho <= -t:
+        return ProjectionJacobian(np.zeros(K.dim))
+    if rho < t:
+        return ProjectionJacobian(np.ones(K.dim))
+    ratio = t / rho
+    U = np.zeros((K.dim, 2))
+    U[0, 0] = 1.0
+    U[1:, 1] = x / rho
+    N = 0.5 * np.array([[-ratio, 1.0], [1.0, -ratio]])
+    return ProjectionJacobian.scaled_block(0.5 * (1.0 + ratio), U, N)
+
+
+def _old_halfspace_support(H, y):
+    ny = _old_norm(y)
+    if ny == 0.0:
+        return 0.0
+    t = float(H.normal @ y) / H._sqnorm
+    residual = _old_norm(y - t * H.normal)
+    aligned = residual <= 1e-9 * ny
+    nonneg = float(H.normal @ y) >= -1e-9 * ny * math.sqrt(H._sqnorm)
+    if aligned and nonneg:
+        return H.offset * max(t, 0.0)
+    return math.inf
+
+
+def test_ball_soc_halfspace_kernels_match_old_forms():
+    rng = np.random.default_rng(53)
+    for trial in range(200):
+        dim = 1 + trial % 6
+        scale = 10.0 ** rng.integers(-4, 5)
+        v = rng.normal(size=dim) * scale
+        B = Ball(rng.normal(size=dim), float(rng.uniform(0.0, 2.0)))
+        for w in (v, B.center.copy(), B.center + 1e-300):
+            assert _bits(B._project(w)) == _bits(_old_ball_project(B, w))
+            assert _bits(B._jacobian(w)) == _bits(_old_ball_jacobian(B, w))
+            assert (_bits(B._support(w, 1e-12))
+                    == _bits(float(B.center @ w) + B.radius * _old_norm(w)))
+        K = SecondOrderCone(dim)
+        boundary = np.concatenate([[_old_norm(v[1:])], v[1:]])
+        for w in (v, -v, boundary, -boundary, np.zeros(dim)):
+            assert _bits(K._project(w)) == _bits(_old_soc_project(K, w))
+            assert _bits(K._jacobian(w)) == _bits(_old_soc_jacobian(K, w))
+            assert (_bits(K._polar_distance(w))
+                    == _bits(inf_norm(w - -_old_soc_project(K, -w))))
+        H = Halfspace(rng.normal(size=dim), float(rng.normal()))
+        for w in (v, 2.5 * H.normal, -H.normal, np.zeros(dim),
+                  H.normal + 1e-12 * scale * v):
+            assert (_bits(H._support(w, 1e-12))
+                    == _bits(_old_halfspace_support(H, w)))
+
+
+def _old_cartesian_slices(C):
+    offsets = np.cumsum([0] + [p.dim for p in C.parts])
+    for part, lo, hi in zip(C.parts, offsets, offsets[1:]):
+        yield part, slice(int(lo), int(hi))
+
+
+def _old_cartesian_kernels(C, v, cone_tol):
+    project = np.empty(C.dim)
+    recession = np.empty(C.dim)
+    support = 0.0
+    for part, sl in _old_cartesian_slices(C):
+        project[sl] = part._project(v[sl])
+        recession[sl] = part._recession(v[sl])
+        if not math.isinf(support):
+            val = part._support(v[sl], cone_tol)
+            support = math.inf if math.isinf(val) else support + val
+    jacobian = ProjectionJacobian.concat(
+        [part._jacobian(v[sl]) for part, sl in _old_cartesian_slices(C)])
+    return project, support, recession, jacobian
+
+
+def test_cartesian_kernels_match_old_forms():
+    rng = np.random.default_rng(59)
+    kinds = [k for k in ALL_KINDS if k != "cartesian"]
+    for trial in range(60):
+        parts = [random_sets(kinds[j % len(kinds)], 1,
+                             base_seed=trial * 11 + j)[0]
+                 for j in rng.permutation(len(kinds))[:1 + trial % 5]]
+        if trial % 3 == 0:
+            parts.append(Cartesian([Box([-1.0], [inf]),
+                                    SecondOrderCone(3)]))
+        C = Cartesian(parts)
+        assert C.dim == sum(p.dim for p in parts)
+        for _ in range(10):
+            v = rng.normal(size=C.dim) * 3.0
+            old = _old_cartesian_kernels(C, v, 1e-9)
+            new = (C._project(v), C._support(v, 1e-9), C._recession(v),
+                   C._jacobian(v))
+            assert [_bits(a) for a in new] == [_bits(a) for a in old]
