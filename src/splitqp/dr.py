@@ -7,7 +7,8 @@ One iteration from ``(x_n, v_n)``:
     v_n+1 = v_n + alpha (A xt - Pi_C(v_n))
 
 with relaxation ``alpha`` in (0, 2). The subproblem matrix is constant,
-so it is factored once at setup. The auxiliary split ``z = Pi_C(v)``,
+so it is factored and inverted once at setup, and each solve is one
+product with the inverse. The auxiliary split ``z = Pi_C(v)``,
 ``y = v - z`` satisfies the complementarity condition at every
 iteration, and the residuals obey
 
@@ -67,7 +68,7 @@ class DrSolver:
     def initial_state(self, warm=None):
         """Cold start at zero, or warm start from a given ``(x, v)`` pair."""
         P = self.problem
-        x, v = driver.warm_start(P, warm)
+        x, v = driver.warm_start(P, warm, "v")
         z = P.C.project(v)
         return SolverState(n=0, x=x, v=v, z=z, y=v - z,
                            dx=np.zeros(P.n), dy=np.zeros(P.m))

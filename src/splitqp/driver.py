@@ -17,15 +17,15 @@ from typing import Optional
 import numpy as np
 
 from . import outcome as oc
-from .linalg import inf_norm
+from .linalg import as_vector, inf_norm, require_positive
 from .problem import Certificate
 
 
 def validate_loop_config(cfg):
-    """Reject non-positive tolerances and loop bounds below one."""
+    """Reject tolerances that are not finite and positive, and loop bounds
+    below one."""
     for name in ("eps_abs", "eps_rel", "eps_pinf", "eps_dinf"):
-        if getattr(cfg, name) <= 0.0:
-            raise ValueError(f"{name} must be positive")
+        require_positive(getattr(cfg, name), name)
     if cfg.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if cfg.check_interval < 1:
@@ -53,14 +53,18 @@ class SolverState:
     inner_iters: Optional[int] = None
 
 
-def warm_start(problem, warm):
-    """Zeros, or shape-checked copies of a warm-start pair ``(x, w)``."""
+def warm_start(problem, warm, dual_name):
+    """Zeros, or checked copies of a warm-start pair ``(x, w)``.
+
+    ``dual_name`` names ``w`` in the error for non-finite entries.
+    """
     if warm is None:
         return np.zeros(problem.n), np.zeros(problem.m)
-    x, w = (np.asarray(a, dtype=float).copy() for a in warm)
+    x, w = (np.asarray(a, dtype=float) for a in warm)
     if x.shape != (problem.n,) or w.shape != (problem.m,):
         raise ValueError("warm start dimensions do not match problem")
-    return x, w
+    return (as_vector(x, name="warm start x").copy(),
+            as_vector(w, name=f"warm start {dual_name}").copy())
 
 
 def _outcome(state, status, residuals, **kwargs):

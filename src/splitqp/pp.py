@@ -58,7 +58,7 @@ import scipy.linalg
 
 from . import driver
 from .driver import SolverState
-from .linalg import inf_norm
+from .linalg import inf_norm, require_positive
 from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
 
@@ -93,10 +93,9 @@ class PpConfig:
     check_interval: int = 25
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.inner_tol_abs is not None and self.inner_tol_abs <= 0.0:
-            raise ValueError("inner_tol_abs must be positive")
+        require_positive(self.gamma, "gamma")
+        if self.inner_tol_abs is not None:
+            require_positive(self.inner_tol_abs, "inner_tol_abs")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be at least 1")
         driver.validate_loop_config(self)
@@ -236,7 +235,7 @@ class PpSolver:
     def initial_state(self, warm=None):
         """Cold start at zero, or warm start from a given ``(x, y)`` pair."""
         P, g = self.problem, self.config.gamma
-        x, y = driver.warm_start(P, warm)
+        x, y = driver.warm_start(P, warm, "y")
         v = P.A @ x + y / g
         z = P.C.project(v)
         return SolverState(n=0, x=x, y=y, v=v, z=z,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, inf_norm, symmetrize
+from .linalg import (as_matrix, as_vector, inf_norm, require_positive,
+                     symmetrize)
 from .sets import SetDescriptor
 
 Q_SYMMETRY_ATOL = 1e-12
@@ -113,8 +114,7 @@ def check_primal_certificate(problem, ybar, eps):
     inside the support evaluation uses the same ``eps``.
     """
     ybar = as_vector(ybar, dim=problem.m, name="ybar")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_positive(eps, "eps")
     norm_y = inf_norm(ybar)
     if norm_y == 0.0:
         raise ValueError("certificate must be nonzero")
@@ -132,8 +132,7 @@ def check_dual_certificate(problem, xbar, eps):
     ``A xbar`` from the recession cone of C), and ``q_dot_x``.
     """
     xbar = as_vector(xbar, dim=problem.n, name="xbar")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_positive(eps, "eps")
     norm_x = inf_norm(xbar)
     if norm_x == 0.0:
         raise ValueError("certificate must be nonzero")

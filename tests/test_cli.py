@@ -323,6 +323,33 @@ def test_bad_flag_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,field",
+                         [(["--eps-abs", "nan"], "eps_abs"),
+                          (["--max-iter", "50", "--eps-rel", "inf"], "eps_rel"),
+                          (["--solver", "pp", "--gamma", "nan"], "gamma"),
+                          (["--solver", "pp", "--gamma", "inf"], "gamma")])
+def test_non_finite_flag_is_an_input_error(tmp_path, capsys, args, field):
+    # nan passed every `<= 0` test and inf accepted any iterate as solved
+    path = tmp_path / "f.json"
+    fileio.save_bundle(path, generate("feasible", 5, 3, 4))
+    out = tmp_path / "o.json"
+    assert main(["solve", str(path), *args, "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: {field} must be positive and finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_check_rejects_bad_eps(tmp_path, capsys, eps):
+    path = tmp_path / "p.json"
+    fileio.save_bundle(path, generate("primal_infeasible", 5, 3, 4))
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "primal_infeasibility",
+                                "vector": [1.0, 0.0, 0.0, 0.0]}))
+    assert main(["check", str(path), str(cand), "--eps", eps]) == 2
+    assert capsys.readouterr().err == "error: eps must be positive and finite\n"
+
+
 @pytest.mark.parametrize("solver,flag,value,owner",
                          [("pp", "--alpha", "3", "dr"),
                           ("pp", "--alpha", "1.0", "dr"),

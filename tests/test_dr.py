@@ -5,7 +5,7 @@ import scipy.linalg
 from splitqp.dr import DrConfig, DrSolver, dr_run
 from splitqp.driver import iterate
 from splitqp.instances import (gen_dual_infeasible, gen_feasible,
-                               gen_primal_infeasible)
+                               gen_primal_infeasible, generate)
 from splitqp.linalg import inf_norm
 from splitqp.outcome import MAX_ITERATIONS
 from splitqp.problem import ProblemData
@@ -256,8 +256,8 @@ def test_cesaro_consistency_on_infeasible_instance():
 @pytest.mark.parametrize("gen", [gen_feasible, gen_primal_infeasible,
                                  gen_dual_infeasible])
 def test_trajectory_matches_default_cho_solve_bitwise(gen):
-    # reference DR loop solving with scipy's checked cho_solve on the
-    # solver's own factor; the lean solve must not move any iterate
+    # reference DR loop solving with a product with the solver's cached
+    # inverse; the validated solve must not move any iterate
     P = gen(2024, 20, 30, "box_soc").problem
     solver = DrSolver(P)
     alpha = solver.config.alpha
@@ -266,7 +266,26 @@ def test_trajectory_matches_default_cho_solve_bitwise(gen):
     for _ in range(200):
         state = solver.step(state)
         z = P.C.project(v)
-        xt = scipy.linalg.cho_solve(solver._factor._cho,
-                                    x - P.q + P.A.T @ (2.0 * z - v))
+        xt = solver._factor._inverse @ (x - P.q + P.A.T @ (2.0 * z - v))
         x, v = x + alpha * (xt - x), v + alpha * (P.A @ xt - z)
         assert np.array_equal(state.x, x) and np.array_equal(state.v, v)
+
+
+@pytest.mark.parametrize("k", [1, -1, 2, -2])
+@pytest.mark.parametrize("family", ["box", "orthant"])
+@pytest.mark.parametrize("kind", ["feasible", "primal_infeasible",
+                                  "dual_infeasible"])
+def test_outcome_matches_cho_solve_under_column_scaling(kind, family, k):
+    # columns scaled alternately by 10^k and 10^-k make the subproblem
+    # matrix ill-conditioned; solving with the cached inverse must end in
+    # the same status after the same number of iterations as solving
+    # with scipy's triangular solves on the same factor
+    P = generate(kind, 9200, 20, 30, family).problem
+    d = np.where(np.arange(P.n) % 2 == 0, 10.0 ** k, 10.0 ** -k)
+    P = ProblemData(Q=P.Q * np.outer(d, d), q=P.q * d, A=P.A * d, C=P.C)
+    cfg = DrConfig(max_iter=3000)
+    ref = DrSolver(P, cfg)
+    cho = ref._factor._cho
+    ref._factor.solve = lambda b: scipy.linalg.cho_solve(cho, b)
+    got, want = DrSolver(P, cfg).run(), ref.run()
+    assert (got.status, got.iterations) == (want.status, want.iterations)

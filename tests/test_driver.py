@@ -291,6 +291,23 @@ def test_loop_config_validation(config_cls):
             config_cls(**{field: 0})
 
 
+@pytest.mark.parametrize("config_cls", [DrConfig, PpConfig])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_loop_config_rejects_non_finite(config_cls, value):
+    for field in ("eps_abs", "eps_rel", "eps_pinf", "eps_dinf"):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite$"):
+            config_cls(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["gamma", "inner_tol_abs"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_pp_config_rejects_bad_positive_fields(field, value):
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be positive and finite$"):
+        PpConfig(**{field: value})
+
+
 @pytest.mark.parametrize("solver_cls", [DrSolver, PpSolver])
 def test_warm_start_shape_is_checked(solver_cls):
     P = generate("feasible", 5, 3, 5, "box").problem
@@ -298,3 +315,20 @@ def test_warm_start_shape_is_checked(solver_cls):
         solver_cls(P).initial_state((np.zeros(3), np.zeros(4)))
     with pytest.raises(ValueError, match="warm start dimensions"):
         solver_cls(P).initial_state((np.zeros((3, 1)), np.zeros(5)))
+
+
+@pytest.mark.parametrize("solver_cls,dual_name", [(DrSolver, "v"),
+                                                  (PpSolver, "y")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_warm_start_values_are_checked(solver_cls, dual_name, bad):
+    # rejected at the boundary, not deep inside the first step
+    P = generate("feasible", 5, 3, 5, "box").problem
+    x = np.zeros(3)
+    x[1] = bad
+    with pytest.raises(ValueError, match="^warm start x has non-finite"):
+        solver_cls(P).run(warm=(x, np.zeros(5)))
+    w = np.zeros(5)
+    w[4] = bad
+    with pytest.raises(ValueError,
+                       match=f"^warm start {dual_name} has non-finite"):
+        solver_cls(P).run(warm=(np.zeros(3), w))

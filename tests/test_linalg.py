@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from splitqp.linalg import (NotPositiveDefiniteError, as_vector, inf_norm,
-                            spd_factor, spectral_norm_est)
+                            spd_factor, spectral_norm_est, symmetrize)
 
 
 def test_as_vector_rejects_nonfinite():
@@ -95,8 +95,29 @@ def test_spd_solve_is_bitwise_cho_solve(n):
         b = rng.normal(size=n)
         b_in = b.copy()
         s = f.solve(b)
-        assert np.array_equal(s, scipy.linalg.cho_solve(f._cho, b))
+        # the solve is one product with the stored inverse
+        assert np.array_equal(s, f._inverse @ b)
         assert np.array_equal(b, b_in)  # the right-hand side is not overwritten
+    assert np.array_equal(f._inverse, f._inverse.T)
+
+
+@pytest.mark.parametrize("n", [20, 60, 300])
+def test_spd_solve_accuracy_matches_cho_solve(n):
+    # forward error of the inverse product stays within 4x that of
+    # scipy's triangular solves, for cond(M) from 1e2 to 1e10; each error
+    # is the largest over 16 right-hand sides, so one lucky rounding on
+    # either side does not decide the comparison
+    rng = np.random.default_rng(700 + n)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    for log_cond in (2, 4, 6, 8, 10):
+        M = symmetrize((U * np.logspace(0, log_cond, n)) @ U.T)
+        f = spd_factor(M)
+        err = ref = 0.0
+        for x_true in rng.normal(size=(16, n)):
+            b = M @ x_true
+            err = max(err, inf_norm(f.solve(b) - x_true))
+            ref = max(ref, inf_norm(scipy.linalg.cho_solve(f._cho, b) - x_true))
+        assert err <= 4.0 * ref
 
 
 def test_spd_solve_empty_system():

@@ -89,6 +89,16 @@ def test_certificate_zero_vector_rejected():
         check_primal_certificate(P, [1.0], 0.0)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+def test_certificate_eps_must_be_positive_and_finite(eps):
+    # a nan eps made every comparison false: a plain "fail", not an error
+    P = box_problem(0.0, 0.0, 1.0, [0.0], [1.0])
+    for check in (check_primal_certificate, check_dual_certificate):
+        with pytest.raises(ValueError,
+                           match="^eps must be positive and finite$"):
+            check(P, [1.0], eps)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(1e-6, 1e6), st.integers(0, 10**6))
 def test_certificate_scaling_invariance(t, seed):
