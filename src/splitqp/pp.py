@@ -26,9 +26,28 @@ matrix. The Cholesky factor of J is kept with the active pattern that
 produced it and reused, across Newton and outer steps, while the
 pattern is unchanged. Only a piecewise-constant D has a pattern (every
 part polyhedral, or a cone block in its interior or origin branch); a
-block on a curved boundary refactors at every step. For polyhedral C,
+block on a curved boundary refactors at every step, into a factor used
+for that step only, which leaves the cached one in place. For polyhedral C,
 F is piecewise affine, so once the pattern settles a Newton step costs
 one ``cho_solve`` and no factorization.
+
+When the factored pattern is a pure 0/1 mask (no halfspace term), the
+solver also keeps the factored matrix ``S + gamma^2 A_C.T A_C``. A new
+mask that differs from it in k rows R changes J by ``U diag(+-1) U.T``
+with ``U = gamma A_R.T`` (+1 for a row that became clamped). While
+``6 k < n``, the step is solved on the kept factor by Woodbury: one
+``cho_solve`` for ``-F`` and for the columns of ``J^-1 U`` not yet
+solved since the factorization, then a k x k capacitance solve. That
+is at most about ``2 n^2 k`` flops, against ``n^3 / 3`` for ``potrf``.
+Below n = 100 the fixed cost of a correction, 60-90 us of numpy calls,
+is about that of a refactorization, so no matrix is kept there and
+every new pattern is assembled and factored from scratch.
+A pattern met a second time, or with ``6 k >= n``, is folded in: the
+kept matrix is updated by ``+-gamma^2 A_R.T A_R`` (rebuilt when k is at
+least the number of clamped rows) and refactored, so a pattern that
+lasts goes back to one ``cho_solve`` per step. A line search that fails
+along a corrected direction refactors and searches once more. Curved
+blocks and halfspace terms are assembled from scratch.
 
 Each outer step starts at ``x_n``, where the previous step's last F
 evaluation already computed ``A x_n`` and ``S x_n`` (``S = I + gamma Q``);
@@ -118,11 +137,22 @@ class PpSolver:
         self._S = np.eye(problem.n) + g * problem.Q
         self._gq = g * problem.q
         self._g2 = g * g
+        # most rows a correction may flip: 6 k < n, and none below n = 100,
+        # where its fixed cost is that of a refactorization; there no
+        # matrix is kept and every new pattern is assembled from scratch
+        self._max_flips = (problem.n - 1) // 6 if problem.n >= 100 else 0
         # Newton-matrix caches: cone-block Gram matrices, and the last
-        # Cholesky factor with the active pattern it was built for
+        # Cholesky factor with the active pattern it was built for. For a
+        # 0/1 mask, also the factored matrix (``_kept``) and the mask, the
+        # hashes of the patterns solved by a correction since that
+        # factorization, and the correction's solved columns
         self._grams = {}
         self._factor = None
         self._factor_key = None
+        self._kept = None
+        self._kept_d = None
+        self._corrected = set()
+        self._solved = {}
         # (x, (A x, S x)) from the last F evaluation of the last completed
         # resolvent solve, where x is the array it returned
         self._last = None
@@ -165,7 +195,102 @@ class PpSolver:
         for start, U, N in jac.terms:
             W = A[start:start + U.shape[0]].T @ U
             H -= W @ N @ W.T
-        return self._S + (g * g) * H
+        H *= g * g
+        H += self._S
+        return H
+
+    def _newton_direction(self, jac, Fx):
+        """``(J^-1 (-Fx), corrected)`` for the Newton matrix J of ``jac``.
+
+        A pattern equal to the factored one reuses the factor. From
+        n = 100 on, a mask that differs from the kept one in k rows, with
+        ``6 k < n``, is solved by a Woodbury correction of the factor the
+        first time it is met (``corrected`` is True); met again, or with a
+        larger k, it is folded into a new factorization. Other patterns
+        are assembled and factored from scratch; a curved D is factored
+        for its step only, so the cached factor survives it.
+        """
+        key = jac.pattern_key()  # None on a curved boundary
+        # J comes from validated data, the set methods reject a non-finite
+        # u and a NaN Fx ends the loop before this solve, so scipy's
+        # finiteness scans are skipped
+        if key is None:  # no pattern to reuse: leave the cache in place
+            factor = scipy.linalg.cho_factor(self.newton_matrix(jac),
+                                             lower=True, check_finite=False)
+            return scipy.linalg.cho_solve(factor, -Fx,
+                                          check_finite=False), False
+        if key == self._factor_key:
+            return scipy.linalg.cho_solve(self._factor, -Fx,
+                                          check_finite=False), False
+        rows = None
+        if not jac.terms and self._kept is not None:
+            rows = np.flatnonzero(jac.d != self._kept_d)
+            if rows.size <= self._max_flips:
+                seen = hash(key)  # a collision only folds early
+                if seen not in self._corrected:
+                    self._corrected.add(seen)
+                    return self._corrected_direction(jac.d, rows, Fx), True
+        self._factor_pattern(jac, key, rows)
+        return scipy.linalg.cho_solve(self._factor, -Fx,
+                                      check_finite=False), False
+
+    def _corrected_direction(self, d, rows, Fx):
+        """Woodbury solve with ``J + U diag(s) U.T`` on the factor of J.
+
+        ``U = gamma A_R.T`` holds the flipped rows R; ``s`` is +1 for a row
+        that became clamped and -1 for one that became free. The columns
+        of ``Z = J^-1 U`` are kept per row until the next factorization,
+        so only rows new since then are solved for.
+        """
+        U = self.config.gamma * self.problem.A[rows].T
+        rows = rows.tolist()
+        solved = self._solved  # row -> its column of Z on this factor
+        new = [i for i, r in enumerate(rows) if r not in solved]
+        X = scipy.linalg.cho_solve(self._factor,
+                                   np.column_stack((-Fx, U[:, new])),
+                                   check_finite=False)
+        for i, column in zip(new, X[:, 1:].T):
+            solved[rows[i]] = column
+        x0, Z = X[:, 0], np.column_stack([solved[r] for r in rows])
+        C = U.T @ Z
+        C.flat[::len(rows) + 1] += np.where(d[rows] == 0.0, 1.0, -1.0)
+        return x0 - Z @ np.linalg.solve(C, U.T @ x0)
+
+    def _factor_pattern(self, jac, key, rows):
+        """Factor J for ``jac``: fold the flipped ``rows`` into the kept
+        matrix, unless they are at least as many as the clamped rows, or
+        assemble J from scratch when no kept matrix applies."""
+        if rows is not None and rows.size < np.count_nonzero(jac.d == 0.0):
+            R = self.problem.A[rows]
+            s = np.where(jac.d[rows] == 0.0, self._g2, -self._g2)
+            J = self._kept
+            J += (R.T * s) @ R
+        else:
+            J = self.newton_matrix(jac)
+        self._factor = scipy.linalg.cho_factor(J, lower=True,
+                                               check_finite=False)
+        self._factor_key = key
+        self._corrected.clear()
+        self._solved.clear()
+        if self._max_flips and not jac.terms:
+            self._kept, self._kept_d = J, np.frombuffer(key[0])
+        else:
+            self._kept = self._kept_d = None
+
+    def _line_search(self, x, step, norm, x_prev, u_base):
+        """Backtrack along ``step`` to a sufficient decrease of ``||F||_inf``.
+
+        Returns ``(x_trial, f_value)``, or ``(None, None)`` when no step
+        length down to 1e-12 decreases it.
+        """
+        t = 1.0
+        while t > 1e-12:
+            x_trial = x + t * step
+            trial = self._f_value(x_trial, x_prev, u_base)
+            if trial[1] <= (1.0 - 1e-4 * t) * norm:
+                return x_trial, trial
+            t *= 0.5
+        return None, None
 
     def resolvent_solve(self, x_prev, y_prev, tol):
         """Root-find F(x) = 0, then recover the next dual iterate.
@@ -195,24 +320,14 @@ class PpSolver:
                     f"(best residual {best_norm:g})",
                     best_x=best_x, residual_norm=best_norm, iterations=iters)
             jac = P.C.projection_jacobian(u)
-            key = jac.pattern_key()  # None on a curved boundary
-            # J comes from validated data, the set methods reject a
-            # non-finite u and a NaN Fx ends the loop before this
-            # solve, so scipy's finiteness scans are skipped
-            if key is None or key != self._factor_key:
-                self._factor = scipy.linalg.cho_factor(
-                    self.newton_matrix(jac), lower=True, check_finite=False)
-                self._factor_key = key
-            step = scipy.linalg.cho_solve(self._factor, -Fx,
-                                          check_finite=False)
-            t = 1.0
-            while t > 1e-12:
-                x_trial = x + t * step
-                trial = self._f_value(x_trial, x_prev, u_base)
-                if trial[1] <= (1.0 - 1e-4 * t) * norm:
-                    break
-                t *= 0.5
-            else:  # no sufficient decrease found; take the full step
+            step, corrected = self._newton_direction(jac, Fx)
+            x_trial, trial = self._line_search(x, step, norm, x_prev, u_base)
+            if trial is None and corrected:
+                # the pattern is now met a second time, so this refactors
+                step, corrected = self._newton_direction(jac, Fx)
+                x_trial, trial = self._line_search(x, step, norm, x_prev,
+                                                   u_base)
+            if trial is None:  # no sufficient decrease found; take the full step
                 x_trial = x + step
                 trial = self._f_value(x_trial, x_prev, u_base)
             x = x_trial

@@ -7,11 +7,12 @@ import pytest
 import scipy.linalg
 
 from splitqp import pp
-from splitqp.instances import gen_feasible
+from splitqp.instances import gen_feasible, generate
 from splitqp.pp import PpConfig, PpSolver
 from splitqp.problem import ProblemData
 from splitqp.sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
-                          SecondOrderCone, Singleton, TranslatedCone, Zero)
+                          ProjectionJacobian, SecondOrderCone, Singleton,
+                          TranslatedCone, Zero)
 
 inf = np.inf
 
@@ -99,6 +100,35 @@ def test_newton_matrix_matches_dense_reference(name, C, points):
         assembled = solver.newton_matrix(C.projection_jacobian(v)) - S
         scale = max(1.0, float(np.max(np.abs(reference))))
         assert np.max(np.abs(assembled - reference)) <= 1e-12 * scale
+
+
+def _two_temporary_newton_matrix(solver, jac):
+    """``S + gamma^2 H``, the bracket H summed as ``newton_matrix`` does and
+    scaled and shifted into new arrays."""
+    A, g = solver.problem.A, solver.config.gamma
+    clamped = jac.d == 0.0
+    for start, stop, _ in jac.blocks:
+        clamped[start:stop] = False
+    A_C = A[clamped]
+    H = A_C.T @ A_C
+    for start, stop, alpha in jac.blocks:
+        A_k = A[start:stop]
+        H += (1.0 - alpha) * (A_k.T @ A_k)
+    for start, U, N in jac.terms:
+        W = A[start:start + U.shape[0]].T @ U
+        H -= W @ N @ W.T
+    return solver._S + (g * g) * H
+
+
+@pytest.mark.parametrize("name,C,points", CASES, ids=[c[0] for c in CASES])
+def test_newton_matrix_is_bitwise_the_two_temporary_sum(name, C, points):
+    # scaling H in place and adding S to it rounds exactly as S + g^2 H
+    for gamma in (0.1, 0.7, 10.0):
+        P, solver = _solver_for(C, gamma, seed=len(name))
+        for v in points:
+            jac = C.projection_jacobian(v)
+            assert (solver.newton_matrix(jac).tobytes()
+                    == _two_temporary_newton_matrix(solver, jac).tobytes())
 
 
 @pytest.mark.parametrize("name,C,points", CASES, ids=[c[0] for c in CASES])
@@ -241,3 +271,217 @@ def test_pattern_flip_forces_refactor(monkeypatch):
     assert np.allclose(x, [-1.0, 4.0], rtol=0, atol=1e-14)
     assert iters == 1
     assert counting.factors == 4 and counting.solves == 5
+
+
+# ------------------------------------------- low-rank updates of the factor
+
+def _mask_solver(n, gamma, seed, C=None):
+    """A solver on random data with m = 1.5 n; C defaults to the orthant.
+
+    It corrects whenever ``6 k < n``, also below n = 100, where the
+    solver's size floor would turn corrections off.
+    """
+    rng = np.random.default_rng(seed)
+    m = 3 * n // 2
+    G = rng.normal(size=(n, n)) / np.sqrt(n)
+    C = NonnegativeOrthant(m) if C is None else C
+    P = ProblemData(Q=G.T @ G, q=rng.normal(size=n), A=rng.normal(size=(m, n)),
+                    C=C)
+    solver = PpSolver(P, PpConfig(gamma=gamma))
+    solver._max_flips = (n - 1) // 6
+    return solver
+
+
+def _fresh_direction(solver, jac, Fx):
+    J = PpSolver.newton_matrix(solver, jac)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(J, lower=True), -Fx)
+
+
+def _flip_sequence(rng, m, n, steps=8):
+    """0/1 masks: small flips both ways, repeats, returns to an earlier
+    mask, large flips, and masks with few clamped rows (the rebuild)."""
+    small = max(1, (n - 1) // 6)
+    masks = [(rng.random(m) < 0.5).astype(float)]
+    for _ in range(steps):
+        d = masks[-1].copy()
+        action = rng.choice(["small", "small", "small", "repeat", "return",
+                             "large", "few_clamped"])
+        if action == "repeat":
+            pass
+        elif action == "return":
+            d = masks[rng.integers(len(masks))].copy()
+        elif action == "few_clamped":
+            d[:] = 1.0
+            d[rng.choice(m, size=rng.integers(0, 4), replace=False)] = 0.0
+        else:
+            k = rng.integers(1, small + 1) if action == "small" else \
+                rng.integers(small + 1, m // 2)
+            rows = rng.choice(m, size=k, replace=False)
+            d[rows] = 1.0 - d[rows]
+        masks.append(d)
+    return masks
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n,sequences", [(60, 56), (300, 12)])
+def test_flip_sequences_match_fresh_factorizations(monkeypatch, n, sequences,
+                                                   gamma):
+    counting = _CountingLinalg()
+    monkeypatch.setattr(pp, "scipy", counting)
+    rng = np.random.default_rng(int(10 * gamma) + n)
+    corrected_steps = folds = rebuilds = 0
+    for seq in range(sequences):
+        solver = _mask_solver(n, gamma, seed=seq)
+        assembled = []
+
+        def assemble(jac, solver=solver):
+            assembled.append(jac)
+            return PpSolver.newton_matrix(solver, jac)
+
+        solver.newton_matrix = assemble
+        for d in _flip_sequence(rng, solver.problem.m, n):
+            jac = ProjectionJacobian(d)
+            Fx = rng.normal(size=n)
+            factors, had_kept = counting.factors, solver._kept is not None
+            calls = len(assembled)
+            step, corrected = solver._newton_direction(jac, Fx)
+            reference = _fresh_direction(solver, jac, Fx)
+            assert (np.max(np.abs(step - reference))
+                    <= 1e-10 * (1.0 + np.max(np.abs(step))))
+            corrected_steps += corrected
+            if counting.factors > factors:
+                assert not corrected
+                assert solver._factor_key == jac.pattern_key()
+                rebuilds += had_kept and len(assembled) > calls
+                folds += had_kept and len(assembled) == calls
+                # the new factor is that of the fresh matrix
+                c, lower = solver._factor
+                L = np.tril(c) if lower else np.triu(c).T
+                J = PpSolver.newton_matrix(solver, jac)
+                scale = max(1.0, float(np.max(np.abs(J))))
+                assert np.max(np.abs(L @ L.T - J)) <= 1e-12 * scale
+            # the kept matrix is that of the factored mask
+            J = PpSolver.newton_matrix(solver,
+                                       ProjectionJacobian(solver._kept_d.copy()))
+            scale = max(1.0, float(np.max(np.abs(J))))
+            assert np.max(np.abs(solver._kept - J)) <= 1e-12 * scale
+    assert corrected_steps > 0 and folds > 0 and rebuilds > 0
+
+
+def test_halfspace_terms_refactor_from_scratch(monkeypatch):
+    n, m = 60, 90
+    normal = np.array([1.0, -2.0, 0.5])
+    C = Cartesian([NonnegativeOrthant(m - 3), Halfspace(normal, 0.0)])
+    solver = _mask_solver(n, 1.0, seed=5, C=C)
+    counting = _CountingLinalg()
+    monkeypatch.setattr(pp, "scipy", counting)
+    rng = np.random.default_rng(6)
+    v = rng.normal(size=m)
+    inactive, active = -normal, normal  # the halfspace part of v
+
+    def direction(flip, halfspace):
+        w = v.copy()
+        w[flip] = -w[flip]
+        w[m - 3:] = halfspace
+        jac = C.projection_jacobian(w)
+        Fx = rng.normal(size=n)
+        step, corrected = solver._newton_direction(jac, Fx)
+        return jac, Fx, step, corrected
+
+    jac, _, _, _ = direction([], inactive)
+    assert counting.factors == 1 and not jac.terms
+    _, _, _, corrected = direction([0, 1], inactive)
+    assert corrected and counting.factors == 1
+    # a halfspace term appears, with the orthant mask unchanged: from scratch
+    for flip, factors in (([0, 1], 2), ([0, 1, 2], 3)):
+        jac, Fx, step, corrected = direction(flip, active)
+        assert jac.terms and not corrected
+        assert counting.factors == factors and solver._kept is None
+        fresh = scipy.linalg.cho_solve(scipy.linalg.cho_factor(
+            _two_temporary_newton_matrix(solver, jac), lower=True,
+            check_finite=False), -Fx, check_finite=False)
+        assert step.tobytes() == fresh.tobytes()
+    # the term goes: the first mask is factored from scratch, then corrected
+    _, _, _, corrected = direction([0, 1, 2], inactive)
+    assert not corrected and counting.factors == 4
+    assert solver._kept is not None
+    _, _, _, corrected = direction([0], inactive)
+    assert corrected and counting.factors == 4
+
+
+@pytest.mark.parametrize("kind,seed", [("feasible", 120),
+                                       ("primal_infeasible", 122)])
+def test_corrections_match_dense_newton_on_orthant(monkeypatch, kind, seed):
+    P = generate(kind, seed, 120, 180, "orthant").problem
+    reference = DenseNewtonPp(P).run()
+    patterns = set()
+    original = P.C.projection_jacobian
+
+    def recording_jacobian(v):
+        jac = original(v)
+        patterns.add(jac.pattern_key())
+        return jac
+
+    monkeypatch.setattr(P.C, "projection_jacobian", recording_jacobian)
+    counting = _CountingLinalg()
+    monkeypatch.setattr(pp, "scipy", counting)
+    result = PpSolver(P).run()
+    assert result.status == reference.status == (
+        "solved" if kind == "feasible" else kind)
+    assert result.iterations == reference.iterations
+    assert None not in patterns
+    assert counting.factors < len(patterns)
+
+
+def test_curved_steps_are_bitwise_from_scratch():
+    P = generate("primal_infeasible", 1270, 20, 30, "box_soc").problem
+    curved = []
+
+    class Checked(PpSolver):
+        def _newton_direction(self, jac, Fx):
+            step, corrected = super()._newton_direction(jac, Fx)
+            if jac.pattern_key() is None:
+                J = _two_temporary_newton_matrix(self, jac)
+                fresh = scipy.linalg.cho_solve(
+                    scipy.linalg.cho_factor(J, lower=True, check_finite=False),
+                    -Fx, check_finite=False)
+                assert not corrected and step.tobytes() == fresh.tobytes()
+                curved.append(step)
+            return step, corrected
+
+    solver = Checked(P)
+    state = solver.initial_state()
+    for _ in range(200):
+        state = solver.step(state)
+    assert len(curved) > 50
+
+
+def test_failed_search_on_corrected_direction_refactors_and_retries():
+    P = generate("feasible", 120, 120, 180, "orthant").problem
+    reference = PpSolver(P).run()
+    retries = []
+
+    class Uphill(PpSolver):
+        """Every corrected direction points uphill, so its search fails."""
+
+        def _corrected_direction(self, d, rows, Fx):
+            return -super()._corrected_direction(d, rows, Fx)
+
+        def _line_search(self, x, step, norm, x_prev, u_base):
+            found = super()._line_search(x, step, norm, x_prev, u_base)
+            retries.append(found[1] is None)
+            return found
+
+    result = Uphill(P).run()
+    assert sum(retries) > 0
+    assert result.status == reference.status == "solved"
+    assert result.iterations == reference.iterations
+    assert np.max(np.abs(result.x - reference.x)) <= 1e-8
+
+
+@pytest.mark.parametrize("n,flips", [(2, 0), (60, 0), (99, 0), (100, 16),
+                                     (300, 49)])
+def test_corrections_need_six_k_below_n_from_n_100(n, flips):
+    P = ProblemData(Q=np.zeros((n, n)), q=np.zeros(n), A=np.eye(n),
+                    C=NonnegativeOrthant(n))
+    assert PpSolver(P)._max_flips == flips

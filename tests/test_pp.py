@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from splitqp.dr import dr_run
 from splitqp.driver import iterate
@@ -266,7 +265,9 @@ class _ReferencePpSolver(PpSolver):
     """``resolvent_solve`` and ``_f_value`` as they were before the start
     evaluation reused the previous step's ``A x`` and ``S x``: F is
     evaluated from scratch at ``x_prev`` and each F value is normed where
-    it is tested."""
+    it is tested. The Newton direction comes from the solver's own
+    ``_newton_direction``, so the comparison pins the reuse, not the
+    factor updates."""
 
     def _f_value(self, x, x_prev, u_base):
         """``(F(x), u, Pi_C(u))``; ``u_base = y_prev / gamma`` is fixed."""
@@ -291,22 +292,14 @@ class _ReferencePpSolver(PpSolver):
                     f"(best residual {best_norm:g})",
                     best_x=best_x, residual_norm=best_norm, iterations=iters)
             jac = P.C.projection_jacobian(u)
-            key = jac.pattern_key()
-            if key is None or key != self._factor_key:
-                self._factor = scipy.linalg.cho_factor(
-                    self.newton_matrix(jac), lower=True, check_finite=False)
-                self._factor_key = key
-            step = scipy.linalg.cho_solve(self._factor, -Fx,
-                                          check_finite=False)
+            step, corrected = self._newton_direction(jac, Fx)
             norm_Fx = inf_norm(Fx)
-            t = 1.0
-            while t > 1e-12:
-                x_trial = x + t * step
-                trial = self._f_value(x_trial, x_prev, u_base)
-                if inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
-                    break
-                t *= 0.5
-            else:
+            x_trial, trial = self._search(x, step, norm_Fx, x_prev, u_base)
+            if trial is None and corrected:
+                step, corrected = self._newton_direction(jac, Fx)
+                x_trial, trial = self._search(x, step, norm_Fx, x_prev,
+                                              u_base)
+            if trial is None:
                 x_trial = x + step
                 trial = self._f_value(x_trial, x_prev, u_base)
             x = x_trial
@@ -316,6 +309,16 @@ class _ReferencePpSolver(PpSolver):
             if norm < best_norm:
                 best_x, best_norm = x, norm
         return x, g * (u - z), iters, u, z
+
+    def _search(self, x, step, norm_Fx, x_prev, u_base):
+        t = 1.0
+        while t > 1e-12:
+            x_trial = x + t * step
+            trial = self._f_value(x_trial, x_prev, u_base)
+            if inf_norm(trial[0]) <= (1.0 - 1e-4 * t) * norm_Fx:
+                return x_trial, trial
+            t *= 0.5
+        return None, None
 
 
 def _assert_states_bitwise(a, b):
