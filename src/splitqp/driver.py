@@ -6,7 +6,8 @@ the residual norms its optimality test, trace and ``max_iterations``
 outcome report (``products`` passes ``(A x, Q x, A.T y)`` when the
 caller has them). Config validation, the state, warm starts, the
 termination and certificate tests, the trace record and the run loop
-live here once.
+live here once. A traced run records its rows a block of states at a
+time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import numpy as np
 from . import outcome as oc
 from .linalg import as_vector, inf_norm, require_positive
 from .problem import Certificate
+from .sets import _norm
+
+TRACE_BLOCK = 25  # states per trace_record call in a traced run
 
 
 def validate_loop_config(cfg):
@@ -140,19 +144,37 @@ def terminate(solver, state, check_primal, check_dual):
     return None
 
 
-def trace_record(solver, state):
-    """One trace row: the stopping residuals and the certificate quantities."""
+def trace_record(solver, states):
+    """Trace rows of consecutive states: the stopping residuals and the
+    certificate quantities.
+
+    Each product is the per-state ``gemv`` and each norm is exact, so a
+    row is bitwise the one its state gives alone. Raises ValueError, as
+    the public set methods do, when a ``dy`` or ``A dx`` is not finite.
+    """
     P, cfg = solver.problem, solver.config
-    prim, dual = solver.stopping_residuals(state)
-    return oc.TraceRecord(
-        n=state.n, primal_res=prim, dual_res=dual,
-        norm_dx=inf_norm(state.dx), norm_dy=inf_norm(state.dy),
-        norm_At_dy=inf_norm(P.A.T @ state.dy),
-        support_dy=float(P.C.support(state.dy, cone_tol=cfg.eps_pinf)),
-        norm_Q_dx=inf_norm(P.Q @ state.dx),
-        q_dot_dx=float(P.q @ state.dx),
-        dist_rec=P.C.distance_to_recession(P.A @ state.dx),
-        inner_iters=state.inner_iters)
+    dx = np.array([s.dx for s in states])
+    dy = np.array([s.dy for s in states])
+    Adx, Atdy, Qdx = np.empty(dy.shape), np.empty(dx.shape), np.empty(dx.shape)
+    for s, Ad, Aty, Qd in zip(states, Adx, Atdy, Qdx):
+        np.matmul(P.A, s.dx, out=Ad)
+        np.matmul(P.A.T, s.dy, out=Aty)
+        np.matmul(P.Q, s.dx, out=Qd)
+    if not (np.isfinite(dy).all() and np.isfinite(Adx).all()):
+        raise ValueError("vector has non-finite entries")
+    norms = zip(*(np.abs(B).max(axis=1, initial=0.0).tolist()
+                  for B in (dx, dy, Atdy, Qdx)))
+    rows = []
+    for s, Ad, (ndx, ndy, nAtdy, nQdx) in zip(states, Adx, norms):
+        prim, dual = solver.stopping_residuals(s)
+        rows.append(oc.TraceRecord(
+            n=s.n, primal_res=prim, dual_res=dual,
+            norm_dx=ndx, norm_dy=ndy, norm_At_dy=nAtdy,
+            support_dy=float(P.C._support(s.dy, cfg.eps_pinf)),
+            norm_Q_dx=nQdx, q_dot_dx=float(P.q @ s.dx),
+            dist_rec=_norm(Ad - P.C._recession(Ad)),
+            inner_iters=s.inner_iters))
+    return rows
 
 
 def iterate(solver, warm=None):
@@ -180,10 +202,18 @@ def iterate(solver, warm=None):
 
 
 def run(solver, warm=None, collect_trace=False):
-    """Iterate to an outcome, with a trace record per step if asked."""
+    """Iterate to an outcome, with a trace record per step if asked.
+
+    Rows are recorded per ``TRACE_BLOCK`` states and for the last partial
+    block, so a non-finite row raises at the end of its block.
+    """
     history = [] if collect_trace else None
+    block = []
     for state, outcome in iterate(solver, warm):
         if collect_trace:
-            history.append(solver.trace_record(state))
+            block.append(state)
+            if len(block) == TRACE_BLOCK or outcome is not None:
+                history.extend(solver.trace_record(block))
+                block = []
     outcome.residual_history = history
     return outcome

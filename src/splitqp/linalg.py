@@ -64,22 +64,22 @@ def symmetrize(M):
 
 
 class SpdFactor:
-    """Cholesky factor and exact inverse of a symmetric positive-definite
-    matrix.
+    """Exact inverse of a symmetric positive-definite matrix, from its
+    Cholesky factor.
 
     Factor and invert once, solve many times. ``matrix`` keeps the
     symmetrized input so tests can verify the reconstruction error. The
-    inverse comes from LAPACK ``potri`` on the cached factor, with its
-    lower triangle mirrored so that it is symmetric bit for bit; a solve
-    checks the right-hand side and returns ``inverse @ b``. That one
-    ``gemv`` runs about four times faster than the two triangular solves
-    of LAPACK ``potrs`` with one right-hand side (n=300, one BLAS thread),
-    with a forward error of the same order, cond(M) times rounding.
+    inverse comes from LAPACK ``potri`` on the factor, which is not kept,
+    with its lower triangle mirrored so that it is symmetric bit for bit;
+    a solve checks the right-hand side and returns ``inverse @ b``. That
+    one ``gemv`` runs about four times faster than the two triangular
+    solves of LAPACK ``potrs`` with one right-hand side (n=300, one BLAS
+    thread), with a forward error of the same order, cond(M) times
+    rounding.
     """
 
     def __init__(self, matrix, cho):
         self.matrix = matrix
-        self._cho = cho
         self._inverse = _lower_cholesky_inverse(cho[0])
 
     @property

@@ -166,6 +166,34 @@ def test_solve_writes_outcome_and_trace(tmp_path):
         [float(f) for f in fields]
 
 
+@pytest.mark.parametrize("solver", ["dr", "pp"])
+@pytest.mark.parametrize("problem,eps,statuses", [
+    (feasible_problem(), [], ("solved", "solved")),
+    (disjoint_problem(), [], ("max_iterations", "primal_infeasible")),
+    (generate("feasible", 9, 6, 9, "box_soc").problem,
+     ["--eps-abs", "1e-15", "--eps-rel", "1e-15"],
+     ("max_iterations", "max_iterations"))])
+def test_trace_has_a_row_per_iteration_off_the_block_grid(
+        tmp_path, solver, problem, eps, statuses):
+    # trace rows are evaluated per block of steps; a run that stops
+    # inside a block still gets a row for each of its steps
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, problem)
+    out = tmp_path / "o.json"
+    trace = tmp_path / "trace.csv"
+    code = main(["solve", str(path), "--solver", solver, "--max-iter", "37",
+                 "--check-interval", "7", *eps, "--out", str(out),
+                 "--trace", str(trace)])
+    outcome = json.loads(out.read_text())
+    assert outcome["status"] == statuses[solver == "pp"]
+    assert code == EXIT_CODES[outcome["status"]]
+    iterations = outcome["iterations"]
+    assert iterations % 25 != 0
+    rows = trace.read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == list(
+        range(1, iterations + 1))
+
+
 def test_pp_trace_has_inner_iters_column(tmp_path):
     path = tmp_path / "p.json"
     fileio.save_problem(path, feasible_problem())
@@ -367,28 +395,31 @@ def test_flag_for_the_other_solver_is_an_input_error(tmp_path, capsys, solver,
     assert not out.exists()
 
 
-def _solve_subprocess(path, solver, out):
+def _solve_subprocess(path, solver, out, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(splitqp.__file__)))
     env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
     return subprocess.run(
         [sys.executable, "-m", "splitqp.cli", "solve", str(path),
-         "--solver", solver, "--out", str(out)],
+         "--solver", solver, "--out", str(out), *args],
         capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("solver", ["dr", "pp"])
 def test_cli_stderr_is_one_line(tmp_path, solver):
-    # the overflow breakdown reports itself without numpy's warnings
+    # the overflow breakdown reports itself without numpy's warnings,
+    # traced or not
     P = ProblemData(Q=np.zeros((1, 1)), q=[1.0], A=[[1e200]],
                     C=Box([-1.0], [1.0]))
     path = tmp_path / "p.json"
     fileio.save_problem(path, P)
     out = tmp_path / "o.json"
-    proc = _solve_subprocess(path, solver, out)
-    assert proc.returncode == EXIT_BREAKDOWN
-    assert re.fullmatch(r"numerical breakdown: [^\n]*\n", proc.stderr), \
-        proc.stderr
-    assert not out.exists()
+    trace = tmp_path / "t.csv"
+    for args in ([], ["--trace", str(trace)]):
+        proc = _solve_subprocess(path, solver, out, *args)
+        assert proc.returncode == EXIT_BREAKDOWN
+        assert re.fullmatch(r"numerical breakdown: [^\n]*\n",
+                            proc.stderr), proc.stderr
+        assert not out.exists() and not trace.exists()
     fileio.save_problem(path, feasible_problem())
     proc = _solve_subprocess(path, solver, out)
     assert proc.returncode == 0

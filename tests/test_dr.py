@@ -285,7 +285,7 @@ def test_outcome_matches_cho_solve_under_column_scaling(kind, family, k):
     P = ProblemData(Q=P.Q * np.outer(d, d), q=P.q * d, A=P.A * d, C=P.C)
     cfg = DrConfig(max_iter=3000)
     ref = DrSolver(P, cfg)
-    cho = ref._factor._cho
+    cho = scipy.linalg.cho_factor(ref._factor.matrix, lower=True)
     ref._factor.solve = lambda b: scipy.linalg.cho_solve(cho, b)
     got, want = DrSolver(P, cfg).run(), ref.run()
     assert (got.status, got.iterations) == (want.status, want.iterations)

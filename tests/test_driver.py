@@ -10,19 +10,21 @@ allowed step.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from splitqp import outcome as oc
 from splitqp.dr import DrConfig, DrSolver
-from splitqp.driver import SolverState, iterate
+from splitqp.driver import TRACE_BLOCK, SolverState, iterate
 from splitqp.instances import SET_FAMILIES, generate
 from splitqp.linalg import inf_norm
 from splitqp.pp import PpConfig, PpSolver
 from splitqp.problem import (Certificate, ProblemData,
                              check_dual_certificate, check_primal_certificate)
-from splitqp.sets import Box
+from splitqp.sets import (Ball, Box, Cartesian, Halfspace, Singleton,
+                          TranslatedCone, Zero)
 
 KINDS = ("feasible", "primal_infeasible", "dual_infeasible")
 # the last two end some runs with a detection at the check after the
@@ -201,6 +203,69 @@ def test_warm_started_run_matches_reference(solver_cls):
                          _reference_run(solver_cls(P), warm=warm))
     assert np.array_equal(warm[0], solver.initial_state(warm).x)
     assert solver.initial_state(warm).x is not warm[0]
+
+
+def _hand_built_sets():
+    """Sets the instance generators never build, alone and as parts."""
+    parts = [Ball([1.0, -2.0], 0.5), Halfspace([1.0, 2.0], 0.3),
+             Singleton([0.7]), Zero(1),
+             TranslatedCone([1.5, -0.5], Zero(2))]
+    return {"ball": Ball([0.5, -1.0, 2.0], 1.5),
+            "halfspace": Halfspace([1.0, -1.0, 0.5], -2.0),
+            "singleton": Singleton([1.0, -2.0]),
+            "zero": Zero(2),
+            "translated_zero": TranslatedCone([0.5, -1.5], Zero(2)),
+            "cartesian": Cartesian(parts)}
+
+
+@pytest.mark.parametrize("name", list(_hand_built_sets()))
+@pytest.mark.parametrize("solver_cls,config_cls",
+                         [(DrSolver, DrConfig), (PpSolver, PpConfig)])
+def test_block_trace_matches_reference_on_hand_built_sets(
+        solver_cls, config_cls, name):
+    # runs that end inside, on and just past the block edges
+    C = _hand_built_sets()[name]
+    rng = np.random.default_rng(31)
+    G = rng.normal(size=(3, 3))
+    P = ProblemData(Q=G @ G.T, q=rng.normal(size=3),
+                    A=rng.normal(size=(C.dim, 3)), C=C)
+    supports = []
+    for steps in (1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1,
+                  2 * TRACE_BLOCK + 1):
+        cfg = config_cls(max_iter=steps, check_interval=1000)
+        solver = solver_cls(P, cfg)
+        blocks, record = [], solver.trace_record
+
+        def recording(states):
+            blocks.append(len(states))
+            return record(states)
+
+        solver.trace_record = recording
+        got = solver.run(collect_trace=True)
+        _assert_same_outcome(got, _reference_run(solver_cls(P, cfg),
+                                                 collect_trace=True))
+        assert len(got.residual_history) == got.iterations == steps
+        full, rest = divmod(steps, TRACE_BLOCK)
+        assert blocks == [TRACE_BLOCK] * full + ([rest] if rest else [])
+        supports += [r.support_dy for r in got.residual_history]
+    if name in ("halfspace", "cartesian"):
+        assert any(math.isinf(v) for v in supports)
+
+
+@pytest.mark.parametrize("field,bad", [("dy", [1.0, np.inf, 0.0, 0.0]),
+                                       ("dx", [1e300, 1e300, 1e300])])
+def test_trace_record_rejects_non_finite_rows(field, bad):
+    # a non-finite dy or A dx raises the public set methods' error
+    P = generate("feasible", 5, 3, 4, "box").problem
+    P = ProblemData(Q=P.Q, q=P.q, A=1e300 * P.A, C=P.C)
+    ok = SolverState(n=1, x=np.zeros(3), y=np.zeros(4), v=np.zeros(4),
+                     z=np.zeros(4), dx=np.zeros(3), dy=np.ones(4))
+    broken = dataclasses.replace(ok, **{field: np.array(bad)})
+    solver = PpSolver(P)
+    assert len(solver.trace_record([ok, ok])) == 2
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^vector has non-finite entries$"):
+        solver.trace_record([ok, broken, ok])
 
 
 def test_state_keeps_only_the_certificate_differences():
