@@ -9,13 +9,14 @@ the same instance bit-for-bit, in any implementation of the generator:
     output z xor (z >> 31)
 
 Uniform doubles in [0, 1) take the top 53 bits; matrix and vector
-entries are uniform in [-1, 1]. A vector or matrix is drawn as one
-block: its k-th entry (rows first) comes from the state
+entries are uniform in [-1, 1]. Uniforms, vectors and matrices are drawn
+as one block: the k-th entry (rows first) comes from the state
 state + k * 0x9E3779B97F4A7C15 in numpy uint64 arithmetic, which wraps
 mod 2^64, so the block equals the scalar stream bit for bit and leaves
-the same state. Constraint matrices are rescaled to a unit
-spectral-norm estimate so the default solver tolerances behave the same
-across sizes.
+the same state. Per-row draws stay scalar only where a row's draw
+depends on an earlier one (whether the row gets a multiplier). Constraint
+matrices are rescaled to a unit spectral-norm estimate so the default
+solver tolerances behave the same across sizes.
 
 Three families of ground truth are produced:
 
@@ -72,8 +73,8 @@ class SplitMix64:
         """Uniform double in [-1, 1)."""
         return 2.0 * self.uniform() - 1.0
 
-    def vector(self, n):
-        """``n`` draws of ``symmetric()`` as one block; uint64 arrays wrap."""
+    def uniforms(self, n):
+        """``n`` draws of ``uniform()`` as one block; uint64 arrays wrap."""
         k = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self.state) + k * np.uint64(_GAMMA)
         self.state = (self.state + n * _GAMMA) & _MASK
@@ -82,8 +83,11 @@ class SplitMix64:
         z ^= z >> np.uint64(27)
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
-        u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        return 2.0 * u - 1.0
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+    def vector(self, n):
+        """``n`` draws of ``symmetric()`` as one block."""
+        return 2.0 * self.uniforms(n) - 1.0
 
     def matrix(self, m, n):
         """``m * n`` draws of ``symmetric()``, filling rows first."""
@@ -96,31 +100,40 @@ class InstanceBundle:
 
     ``truth`` is a dict with key ``kind`` in {"kkt",
     "primal_certificate", "dual_certificate"} and the matching payload
-    arrays. ``unique_direction`` marks infeasible instances whose
-    certificate direction is unique by construction.
+    arrays.
     """
 
     problem: ProblemData
     truth: dict
     seed: int
     family: str
-    unique_direction: bool = False
 
 
-def _rescaled(A):
-    est = spectral_norm_est(A)
+def _check_args(set_family, n, m):
+    if set_family not in SET_FAMILIES:
+        raise ValueError(f"unknown set family {set_family!r}")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be at least 1")
+
+
+def _uniforms_in(rng, lo, hi, n):
+    """``n`` draws of ``uniform_in(lo, hi)`` as one block."""
+    return lo + (hi - lo) * rng.uniforms(n)
+
+
+def _rescaled(M, tiny=None):
+    """``M`` over its spectral-norm estimate; ``tiny`` (default ``M``) when
+    the estimate is at most 1e-12."""
+    est = spectral_norm_est(M)
     if est > 1e-12:
-        return A / est
-    return A
+        return M / est
+    return M if tiny is None else tiny
 
 
 def _psd_matrix(rng, n):
     """Random PSD (almost surely PD) matrix with unit spectral estimate."""
     G = rng.matrix(2 * n, n)
-    Q = G.T @ G
-    est = spectral_norm_est(Q)
-    if est > 1e-12:
-        Q = Q / est
+    Q = _rescaled(G.T @ G)
     return 0.5 * (Q + Q.T)
 
 
@@ -132,12 +145,7 @@ def _psd_with_null(rng, n, xbar):
         sv = np.linalg.svd(G, compute_uv=False)
         if n == 1 or sv[n - 2] >= 0.1 * max(sv[0], 1e-30):
             break
-    Q = G.T @ G
-    est = spectral_norm_est(Q)
-    if est > 1e-12:
-        Q = Q / est
-    else:
-        Q = np.zeros((n, n))
+    Q = _rescaled(G.T @ G, tiny=np.zeros((n, n)))
     return 0.5 * (Q + Q.T)
 
 
@@ -162,19 +170,19 @@ def _orthogonal_columns_matrix(rng, m, n, ybar):
     return _rescaled(A)
 
 
-def _soc_vector(rng, dim, strict=True):
-    """A vector inside the second-order cone of the given dimension."""
+def _soc_vector(rng, dim):
+    """A vector strictly inside the second-order cone of dimension ``dim``."""
     if dim == 1:
         return np.array([rng.uniform_in(0.1, 1.0)])
     xw = rng.vector(dim - 1)
-    slack = rng.uniform_in(0.2, 1.0) if strict else 0.0
-    t = float(np.linalg.norm(xw)) * (1.0 + slack) + (0.05 if strict else 0.0)
+    slack = rng.uniform_in(0.2, 1.0)
+    t = float(np.linalg.norm(xw)) * (1.0 + slack) + 0.05
     return np.concatenate(([t], xw))
 
 
 def _neg_soc_polar_vector(rng, dim):
     """A vector strictly inside the polar (negated) second-order cone."""
-    v = _soc_vector(rng, dim, strict=True)
+    v = _soc_vector(rng, dim)
     v[0] = -v[0]
     return v
 
@@ -187,54 +195,47 @@ def _tilt_into_soc(rng, A, k, x):
     A[k] = A[k] + ((target - float(A[k] @ x)) / float(x @ x)) * x
 
 
+def _pin_rows(A, x, pinned, flip_rest):
+    """Make ``A[i] @ x`` zero on the ``pinned`` rows; with ``flip_rest``,
+    negate the other rows where it is negative."""
+    sq = float(x @ x)
+    for i, pin in enumerate(pinned):
+        if pin:
+            A[i] = A[i] - (float(A[i] @ x) / sq) * x
+        elif flip_rest and float(A[i] @ x) < 0.0:
+            A[i] = -A[i]
+
+
 def _recession_box(rng, bounded, d):
     """Box of ``len(bounded)`` rows, unbounded along ``d`` where not ``bounded``."""
-    lower = np.empty(len(bounded))
-    upper = np.empty(len(bounded))
-    for i in range(len(bounded)):
-        lo = -rng.uniform_in(0.1, 1.0)
-        hi = rng.uniform_in(0.1, 1.0)
-        if bounded[i]:
-            lower[i], upper[i] = lo, hi
-        elif d[i] > 0:
-            lower[i], upper[i] = lo, np.inf
-        else:
-            lower[i], upper[i] = -np.inf, hi
-    return Box(lower, upper)
+    pairs = _uniforms_in(rng, 0.1, 1.0, 2 * len(bounded))
+    up = d[:len(bounded)] > 0
+    return Box(np.where(bounded | up, -pairs[0::2], -np.inf),
+               np.where(bounded | ~up, pairs[1::2], np.inf))
 
 
 def gen_feasible(seed, n, m, set_family="box"):
     """Problem with a known KKT triple; Q is positive definite."""
-    if set_family not in SET_FAMILIES:
-        raise ValueError(f"unknown set family {set_family!r}")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+    _check_args(set_family, n, m)
     rng = SplitMix64(seed)
     x_star = rng.vector(n)
     if float(np.linalg.norm(x_star)) < 1e-3:
         x_star = x_star + 0.5
     Q = _psd_matrix(rng, n)
     A = rng.matrix(m, n)
-    y_star = np.zeros(m)
 
     if set_family == "box":
         A = _rescaled(A)
         z_star = A @ x_star
         C, y_star = _box_around(rng, z_star)
     elif set_family == "orthant":
-        sq = float(x_star @ x_star)
-        active = np.array([rng.uniform() < 0.3 for _ in range(m)])
-        for i in range(m):
-            if active[i]:
-                A[i] = A[i] - (float(A[i] @ x_star) / sq) * x_star
-            elif float(A[i] @ x_star) < 0.0:
-                A[i] = -A[i]
+        active = rng.uniforms(m) < 0.3
+        _pin_rows(A, x_star, active, flip_rest=True)
         A = _rescaled(A)
         z_star = A @ x_star
         C = NonnegativeOrthant(m)
         y_star = np.array(
-            [-rng.uniform_in(0.1, 1.0) if active[i] else 0.0
-             for i in range(m)])
+            [-rng.uniform_in(0.1, 1.0) if a else 0.0 for a in active])
     elif set_family == "translated_cone":
         A = _rescaled(A)
         z_star = A @ x_star
@@ -307,10 +308,7 @@ def gen_primal_infeasible(seed, n, m, set_family="box"):
     to it, and the set satisfies support_C(ybar) = -0.5. Q is positive
     definite, which rules out a simultaneous dual certificate.
     """
-    if set_family not in SET_FAMILIES:
-        raise ValueError(f"unknown set family {set_family!r}")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+    _check_args(set_family, n, m)
     if m < 2:
         raise ValueError("primal infeasible generation needs m >= 2")
     rng = SplitMix64(seed)
@@ -318,12 +316,12 @@ def gen_primal_infeasible(seed, n, m, set_family="box"):
     if set_family == "box":
         ybar = rng.vector(m)
         ybar = ybar / float(np.linalg.norm(ybar))
-        h = np.array([rng.uniform_in(0.1, 1.0) for _ in range(m)])
+        h = _uniforms_in(rng, 0.1, 1.0, m)
         s = float(h @ np.abs(ybar)) + _MARGIN
         center = -s * ybar
         C = Box(center - h, center + h)
     elif set_family == "orthant":
-        ybar = -np.array([rng.uniform_in(0.05, 1.0) for _ in range(m)])
+        ybar = -_uniforms_in(rng, 0.05, 1.0, m)
         ybar = ybar / float(np.linalg.norm(ybar))
         C = TranslatedCone(_shifted_offset(rng, ybar), NonnegativeOrthant(m))
     elif set_family == "translated_cone":
@@ -334,14 +332,11 @@ def gen_primal_infeasible(seed, n, m, set_family="box"):
         m1 = m // 2
         m2 = m - m1
         y1 = rng.vector(m1)
-        if m2 == 1:
-            y2 = np.array([-rng.uniform_in(0.1, 1.0)])
-        else:
-            y2 = _neg_soc_polar_vector(rng, m2)
+        y2 = _neg_soc_polar_vector(rng, m2)
         ybar = np.concatenate([y1, y2])
         ybar = ybar / float(np.linalg.norm(ybar))
         y1 = ybar[:m1]
-        h = np.array([rng.uniform_in(0.1, 1.0) for _ in range(m1)])
+        h = _uniforms_in(rng, 0.1, 1.0, m1)
         s = float(h @ np.abs(y1)) + _MARGIN
         sq1 = float(y1 @ y1)
         center = (-s / sq1) * y1 if sq1 > 1e-12 else -s * np.ones(m1)
@@ -351,15 +346,13 @@ def gen_primal_infeasible(seed, n, m, set_family="box"):
     Q = _psd_matrix(rng, n)
     q = rng.vector(n)
     problem = ProblemData(Q=Q, q=q, A=A, C=C)
-    rank = np.linalg.matrix_rank(A, tol=1e-8)
-    unique = bool(m - rank == 1)
     truth = {"kind": "primal_certificate", "vector": ybar}
     return InstanceBundle(problem=problem, truth=truth, seed=seed,
-                          family=set_family, unique_direction=unique)
+                          family=set_family)
 
 
 def _shifted_offset(rng, ybar):
-    """An offset whose inner product with ``ybar`` equals -MARGIN."""
+    """A random vector whose inner product with ``ybar`` equals -MARGIN."""
     a0 = rng.vector(ybar.shape[0])
     sq = float(ybar @ ybar)
     return a0 - ((float(a0 @ ybar) + _MARGIN) / sq) * ybar
@@ -372,31 +365,20 @@ def gen_dual_infeasible(seed, n, m, set_family="box"):
     constraint set is unbounded along A xbar, and <q, xbar> = -0.5. The
     primal problem stays feasible by construction.
     """
-    if set_family not in SET_FAMILIES:
-        raise ValueError(f"unknown set family {set_family!r}")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+    _check_args(set_family, n, m)
     rng = SplitMix64(seed)
     xbar = rng.vector(n)
     xbar = xbar / float(np.linalg.norm(xbar))
     Q = _psd_with_null(rng, n, xbar)
-    sq = float(xbar @ xbar)
     A = rng.matrix(m, n)
 
     if set_family == "box":
-        bounded = np.array([rng.uniform() < 0.4 for _ in range(m)])
-        for i in range(m):
-            if bounded[i]:
-                A[i] = A[i] - (float(A[i] @ xbar) / sq) * xbar
+        bounded = rng.uniforms(m) < 0.4
+        _pin_rows(A, xbar, bounded, flip_rest=False)
         A = _rescaled(A)
         C = _recession_box(rng, bounded, A @ xbar)
     elif set_family == "orthant":
-        bounded = np.array([rng.uniform() < 0.3 for _ in range(m)])
-        for i in range(m):
-            if bounded[i]:
-                A[i] = A[i] - (float(A[i] @ xbar) / sq) * xbar
-            elif float(A[i] @ xbar) < 0.0:
-                A[i] = -A[i]
+        _pin_rows(A, xbar, rng.uniforms(m) < 0.3, flip_rest=True)
         A = _rescaled(A)
         C = NonnegativeOrthant(m)
     elif set_family == "translated_cone":
@@ -410,25 +392,21 @@ def gen_dual_infeasible(seed, n, m, set_family="box"):
             raise ValueError("box_soc needs m >= 2")
         m1 = m // 2
         m2 = m - m1
-        bounded = np.array([rng.uniform() < 0.4 for _ in range(m1)])
-        for i in range(m1):
-            if bounded[i]:
-                A[i] = A[i] - (float(A[i] @ xbar) / sq) * xbar
+        bounded = rng.uniforms(m1) < 0.4
+        _pin_rows(A, xbar, bounded, flip_rest=False)
         if m2 == 1:
-            if float(A[m1] @ xbar) < 0.0:
-                A[m1] = -A[m1]
+            _pin_rows(A[m1:], xbar, [False], flip_rest=True)
         else:
             _tilt_into_soc(rng, A, m1, xbar)
         A = _rescaled(A)
         C = Cartesian([_recession_box(rng, bounded, A @ xbar),
                        SecondOrderCone(m2)])
 
-    q0 = rng.vector(n)
-    q = q0 - ((float(q0 @ xbar) + _MARGIN) / sq) * xbar
+    q = _shifted_offset(rng, xbar)
     problem = ProblemData(Q=Q, q=q, A=A, C=C)
     truth = {"kind": "dual_certificate", "vector": xbar}
     return InstanceBundle(problem=problem, truth=truth, seed=seed,
-                          family=set_family, unique_direction=True)
+                          family=set_family)
 
 
 def generate(kind, seed, n, m, set_family="box"):

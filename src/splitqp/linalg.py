@@ -67,24 +67,21 @@ class SpdFactor:
     """Exact inverse of a symmetric positive-definite matrix, from its
     Cholesky factor.
 
-    Factor and invert once, solve many times. ``matrix`` keeps the
-    symmetrized input so tests can verify the reconstruction error. The
-    inverse comes from LAPACK ``potri`` on the factor, which is not kept,
-    with its lower triangle mirrored so that it is symmetric bit for bit;
-    a solve checks the right-hand side and returns ``inverse @ b``. That
-    one ``gemv`` runs about four times faster than the two triangular
-    solves of LAPACK ``potrs`` with one right-hand side (n=300, one BLAS
-    thread), with a forward error of the same order, cond(M) times
-    rounding.
+    Factor and invert once, solve many times; only the inverse is kept.
+    It comes from LAPACK ``potri`` on the factor, with its lower triangle
+    mirrored so that it is symmetric bit for bit. A solve checks the
+    right-hand side and returns ``inverse @ b``. That one ``gemv`` runs
+    about four times faster than the two triangular solves of LAPACK
+    ``potrs`` with one right-hand side (n=300, one BLAS thread), with a
+    forward error of the same order, cond(M) times rounding.
     """
 
-    def __init__(self, matrix, cho):
-        self.matrix = matrix
+    def __init__(self, cho):
         self._inverse = _lower_cholesky_inverse(cho[0])
 
     @property
     def order(self):
-        return self.matrix.shape[0]
+        return self._inverse.shape[0]
 
     def solve(self, b):
         b = as_vector(b, dim=self.order, name="right-hand side")
@@ -117,13 +114,12 @@ def spd_factor(M):
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if inf_norm(M - M.T) > SYMMETRY_ATOL:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")
-    S = symmetrize(M)
     try:
-        cho = scipy.linalg.cho_factor(S, lower=True)
+        cho = scipy.linalg.cho_factor(symmetrize(M), lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: {exc}") from exc
-    return SpdFactor(S, cho)
+    return SpdFactor(cho)
 
 
 def spectral_norm_est(M, iters=100, tol=1e-12):

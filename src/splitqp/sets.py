@@ -66,26 +66,26 @@ class ProjectionJacobian:
     there ``d`` equals ``alpha`` (a scaled identity) and one term adds the
     low-rank rest. Outside the blocks ``d`` is a 0/1 mask (0 = clamped).
 
-    ``curved`` is True when D varies with the point within its branch
-    (a Ball or second-order cone on its boundary). Otherwise D is
-    constant on its branch and ``pattern_key()`` identifies it: equal
-    keys from the same set mean equal matrices.
+    D is curved, varying with the point within its branch, exactly when
+    ``blocks`` is non-empty (a Ball or second-order cone on its
+    boundary). Otherwise D is constant on its branch and
+    ``pattern_key()`` identifies it: equal keys from the same set mean
+    equal matrices.
     """
 
-    __slots__ = ("d", "terms", "blocks", "curved")
+    __slots__ = ("d", "terms", "blocks")
 
-    def __init__(self, d, terms=(), blocks=(), curved=False):
+    def __init__(self, d, terms=(), blocks=()):
         self.d = d
         self.terms = terms
         self.blocks = blocks
-        self.curved = curved
 
     @classmethod
     def scaled_block(cls, alpha, U, N):
         """``alpha * I + U N U.T`` on one cone block of its own dimension."""
         dim = U.shape[0]
         return cls(np.full(dim, alpha), terms=[(0, U, N)],
-                   blocks=[(0, dim, alpha)], curved=True)
+                   blocks=[(0, dim, alpha)])
 
     @classmethod
     def concat(cls, parts):
@@ -96,12 +96,11 @@ class ProjectionJacobian:
             blocks.extend((lo + offset, hi + offset, alpha)
                           for lo, hi, alpha in J.blocks)
             offset += J.d.shape[0]
-        return cls(np.concatenate([J.d for J in parts]), terms, blocks,
-                   any(J.curved for J in parts))
+        return cls(np.concatenate([J.d for J in parts]), terms, blocks)
 
     def pattern_key(self):
         """Hashable active pattern, or None when D is curved."""
-        if self.curved:
+        if self.blocks:
             return None
         return self.d.tobytes(), tuple(start for start, _, _ in self.terms)
 

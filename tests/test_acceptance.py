@@ -27,6 +27,7 @@ from splitqp.problem import (ProblemData, check_dual_certificate,
 from splitqp.sets import Box, Halfspace, SecondOrderCone
 
 from cesaro import cesaro_oracle, cesaro_triple
+from directions import unique_direction
 from identities import residual_vectors, step_pairs
 
 FAMILIES = ["box", "orthant", "translated_cone", "box_soc"]
@@ -129,7 +130,7 @@ def test_acceptance_2_pp_parity(suite):
             if dr_res.status != pp_res.status:
                 mismatches += 1
                 continue
-            if (bundle.unique_direction and dr_res.certificate is not None
+            if (unique_direction(bundle) and dr_res.certificate is not None
                     and pp_res.certificate is not None):
                 angles += 1
                 max_angle = max(max_angle, _angle(

@@ -250,6 +250,26 @@ def test_check_reports_metrics(tmp_path, capsys):
     assert main(["check", str(path), str(cand)]) == 2
 
 
+@pytest.mark.parametrize("problem, kind, vector, code, lines", [
+    (disjoint_problem, "primal_infeasibility", [1.0, -1.0], 0,
+     ["norm_At_y: 0.000000e+00", "support: -1.000000e+00"]),
+    (unbounded_problem, "primal_infeasibility", [1.0], 1,
+     ["norm_At_y: 1.000000e+00", "support: inf"]),
+    (unbounded_problem, "dual_infeasibility", [1.0], 0,
+     ["norm_Q_x: 0.000000e+00", "dist_rec: 0.000000e+00",
+      "q_dot_x: -1.000000e+00"]),
+])
+def test_check_stdout_is_pinned(tmp_path, capsys, problem, kind, vector,
+                                code, lines):
+    path, cand = tmp_path / "p.json", tmp_path / "cand.json"
+    fileio.save_problem(path, problem())
+    cand.write_text(json.dumps({"kind": kind, "vector": vector}))
+    assert main(["check", str(path), str(cand)]) == code
+    result = "pass" if code == 0 else "fail"
+    assert capsys.readouterr().out == "\n".join(
+        [f"kind: {kind}", *lines, f"result: {result} (eps = 1e-06)", ""])
+
+
 def test_generate_is_deterministic(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["generate", "primal_infeasible", "--seed", "3", "-n", "3", "-m", "4"]

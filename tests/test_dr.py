@@ -6,7 +6,7 @@ from splitqp.dr import DrConfig, DrSolver, dr_run
 from splitqp.driver import iterate
 from splitqp.instances import (gen_dual_infeasible, gen_feasible,
                                gen_primal_infeasible, generate)
-from splitqp.linalg import inf_norm
+from splitqp.linalg import inf_norm, symmetrize
 from splitqp.outcome import MAX_ITERATIONS
 from splitqp.problem import ProblemData
 from splitqp.sets import Box, Zero
@@ -30,9 +30,9 @@ def unbounded_problem():
 
 def test_setup_subproblem_matrix():
     P = ProblemData(Q=np.zeros((1, 1)), q=[0.0], A=[[1.0]], C=Box([0.0], [1.0]))
-    assert np.allclose(DrSolver(P)._factor.matrix, [[2.0]])
+    assert np.allclose(DrSolver(P)._factor._inverse, [[0.5]])
     P2 = ProblemData(Q=np.eye(1), q=[0.0], A=[[1.0]], C=Box([0.0], [1.0]))
-    assert np.allclose(DrSolver(P2)._factor.matrix, [[3.0]])
+    assert np.allclose(DrSolver(P2)._factor._inverse, [[1.0 / 3.0]])
 
 
 def test_alpha_out_of_range():
@@ -285,7 +285,8 @@ def test_outcome_matches_cho_solve_under_column_scaling(kind, family, k):
     P = ProblemData(Q=P.Q * np.outer(d, d), q=P.q * d, A=P.A * d, C=P.C)
     cfg = DrConfig(max_iter=3000)
     ref = DrSolver(P, cfg)
-    cho = scipy.linalg.cho_factor(ref._factor.matrix, lower=True)
+    M = symmetrize(P.Q + np.eye(P.n) + P.A.T @ P.A)
+    cho = scipy.linalg.cho_factor(M, lower=True)
     ref._factor.solve = lambda b: scipy.linalg.cho_solve(cho, b)
     got, want = DrSolver(P, cfg).run(), ref.run()
     assert (got.status, got.iterations) == (want.status, want.iterations)

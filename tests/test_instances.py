@@ -10,6 +10,7 @@ from splitqp.problem import (check_dual_certificate, check_primal_certificate,
 from splitqp.sets import Ball, Box, NonnegativeOrthant
 
 from cesaro import cesaro_oracle, cesaro_triple
+from directions import unique_direction
 
 
 def test_splitmix64_reference_vector():
@@ -32,7 +33,10 @@ def test_splitmix64_uniform_range():
 
 
 class ScalarSplitMix64(SplitMix64):
-    """Vectors and matrices drawn one ``symmetric()`` at a time."""
+    """Uniform blocks, vectors and matrices drawn one scalar at a time."""
+
+    def uniforms(self, n):
+        return np.array([self.uniform() for _ in range(n)])
 
     def vector(self, n):
         return np.array([self.symmetric() for _ in range(n)])
@@ -46,16 +50,18 @@ class ScalarSplitMix64(SplitMix64):
 def test_block_draws_match_scalar_stream(seed):
     rng, ref = SplitMix64(seed), SplitMix64(seed)
     assert rng.state == ref.state == seed % 2**64
-    draws = [("vector", (0,)), ("vector", (7,)), ("matrix", (3, 4)),
-             ("scalar", ()), ("matrix", (0, 5)), ("matrix", (5, 0)),
-             ("vector", (1,)), ("scalar", ()), ("matrix", (1, 9))]
+    draws = [("vector", (0,)), ("uniforms", (0,)), ("vector", (7,)),
+             ("matrix", (3, 4)), ("scalar", ()), ("uniforms", (6,)),
+             ("matrix", (0, 5)), ("matrix", (5, 0)), ("vector", (1,)),
+             ("scalar", ()), ("uniforms", (6,)), ("matrix", (1, 9))]
     for method, shape in draws:
         if method == "scalar":
             assert rng.symmetric() == ref.symmetric()
         else:
             got = getattr(rng, method)(*shape)
             count = int(np.prod(shape))
-            want = np.array([ref.symmetric() for _ in range(count)])
+            draw = ref.uniform if method == "uniforms" else ref.symmetric
+            want = np.array([draw() for _ in range(count)])
             assert got.shape == shape and got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
         assert rng.state == ref.state
@@ -77,7 +83,6 @@ def test_generated_instances_match_scalar_draws(monkeypatch):
         # the canonical text holds the set arrays and the truth exactly
         assert (fileio.dumps_problem(b.problem, b.truth)
                 == fileio.dumps_problem(ref.problem, ref.truth))
-        assert b.unique_direction == ref.unique_direction
 
 
 def test_generator_determinism():
@@ -121,11 +126,11 @@ def test_generated_matrices_are_unit_scaled():
 
 def test_unique_direction_flags():
     b = gen_primal_infeasible(5, 4, 5, "box")   # m = n + 1
-    assert b.unique_direction
+    assert unique_direction(b)
     b = gen_primal_infeasible(5, 3, 8, "box")   # wide null space
-    assert not b.unique_direction
+    assert not unique_direction(b)
     b = gen_dual_infeasible(5, 4, 5, "box")
-    assert b.unique_direction
+    assert unique_direction(b)
 
 
 def test_generator_argument_validation():

@@ -150,7 +150,7 @@ def test_pattern_key_identifies_piecewise_constant_jacobians():
         jac = C.projection_jacobian(v)
         key = jac.pattern_key()
         if key is None:
-            assert jac.curved and jac.blocks
+            assert jac.blocks
             continue
         seen.setdefault(key, jac.dense())
         assert np.array_equal(seen[key], jac.dense())

@@ -11,6 +11,7 @@ from splitqp.outcome import MAX_ITERATIONS
 from splitqp.problem import ProblemData
 from splitqp.sets import Box
 
+from directions import unique_direction
 from identities import aux_differences, residual_vectors, step_pairs
 
 inf = np.inf
@@ -212,7 +213,7 @@ def test_agreement_with_douglas_rachford():
         rd = dr_run(b.problem)
         rp = pp_run(b.problem)
         assert rd.status == rp.status == "primal_infeasible"
-        if b.unique_direction:
+        if unique_direction(b):
             assert angle(rd.certificate.vector, rp.certificate.vector) <= 1e-3
 
 

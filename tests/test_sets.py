@@ -341,7 +341,7 @@ def test_jacobian_kink_convention_clamps():
 
 def _bits(value):
     if isinstance(value, ProjectionJacobian):
-        return (_bits(value.d), value.curved, value.blocks,
+        return (_bits(value.d), value.blocks,
                 [(start, _bits(U), _bits(N)) for start, U, N in value.terms])
     return np.asarray(value, dtype=float).tobytes()
 
