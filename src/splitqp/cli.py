@@ -23,7 +23,6 @@ from . import fileio
 from . import outcome as oc
 from .dr import DrConfig, DrSolver
 from .instances import SET_FAMILIES, generate
-from .fileio import ProblemFormatError
 from .pp import InnerSolveError, PpConfig, PpSolver
 from .problem import check_dual_certificate, check_primal_certificate
 
@@ -146,7 +145,7 @@ def main(argv=None):
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_check(args)
-    except (ProblemFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ProblemFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,10 @@ re-serializing a file reproduces it byte for byte:
 
 Q is stored upper-triangle-only and mirrored on load, which enforces
 symmetry at the format level. Infinite box bounds are the strings
-"inf" / "-inf"; NaN is rejected everywhere. Unknown set types are
-rejected.
+"inf" / "-inf"; NaN is rejected everywhere. ``_SET_TYPES`` is the one
+list of set types and their members: encoding and decoding both read it,
+and any other type is rejected. An error names the member it is about,
+e.g. ``set.parts[3].value: expected an array``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .instances import InstanceBundle
 from .outcome import TraceRecord
 from .problem import Certificate, ProblemData
 from .sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
-                   SecondOrderCone, SetDescriptor, Singleton, TranslatedCone,
-                   Zero)
+                   SecondOrderCone, Singleton, TranslatedCone, Zero)
 
 
 class ProblemFormatError(ValueError):
@@ -60,13 +61,22 @@ def _finite(value, where):
     return v
 
 
-def _finite_list(values, where, length=None):
+def _array(values, where, length=None, item=_finite):
+    """Check a JSON array and decode each entry at ``where[i]``."""
     if not isinstance(values, list):
         raise ProblemFormatError(f"{where}: expected an array")
     if length is not None and len(values) != length:
         raise ProblemFormatError(
             f"{where}: expected {length} entries, got {len(values)}")
-    return np.array([_finite(v, f"{where}[{i}]") for i, v in enumerate(values)])
+    return [item(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _finite_list(values, where, length=None):
+    return np.array(_array(values, where, length))
+
+
+def _floats(values):
+    return [float(v) for v in values]
 
 
 def _bound(value, where):
@@ -99,34 +109,41 @@ def _positive_int(value, where):
     return value
 
 
+# A codec is (encode, decode): encode maps a set's attribute to its JSON
+# value; decode(value, where) checks a member and converts it back.
+_BOUNDS = (lambda values: [_encode_bound(v) for v in values],
+           lambda value, where: _array(value, where, item=_bound))
+_DIM = (int, _positive_int)
+_VECTOR = (_floats, _finite_list)
+_NUMBER = (float, _finite)
+_SET = (lambda S: set_to_obj(S), lambda value, where: set_from_obj(value, where))
+_SETS = (lambda parts: [set_to_obj(p) for p in parts],
+         lambda value, where: _array(value, where, item=set_from_obj))
+
+# JSON type -> (class, members as (key, attribute, codec) in constructor
+# order). The one list of set types; encoding tries the classes in order.
+_SET_TYPES = {
+    "box": (Box, (("l", "lower", _BOUNDS), ("u", "upper", _BOUNDS))),
+    "nonneg": (NonnegativeOrthant, (("dim", "dim", _DIM),)),
+    "zero": (Zero, (("dim", "dim", _DIM),)),
+    "point": (Singleton, (("value", "point", _VECTOR),)),
+    "halfspace": (Halfspace, (("normal", "normal", _VECTOR),
+                              ("offset", "offset", _NUMBER))),
+    "ball": (Ball, (("center", "center", _VECTOR),
+                    ("radius", "radius", _NUMBER))),
+    "soc": (SecondOrderCone, (("dim", "dim", _DIM),)),
+    "translated_cone": (TranslatedCone, (("offset", "offset", _VECTOR),
+                                         ("cone", "cone", _SET))),
+    "cartesian": (Cartesian, (("parts", "parts", _SETS),)),
+}
+
+
 def set_to_obj(S):
     """Encode a set descriptor as its JSON object."""
-    if isinstance(S, Box):
-        return {"type": "box",
-                "l": [_encode_bound(v) for v in S.lower],
-                "u": [_encode_bound(v) for v in S.upper]}
-    if isinstance(S, NonnegativeOrthant):
-        return {"type": "nonneg", "dim": S.dim}
-    if isinstance(S, Zero):
-        return {"type": "zero", "dim": S.dim}
-    if isinstance(S, Singleton):
-        return {"type": "point", "value": [float(v) for v in S.point]}
-    if isinstance(S, Halfspace):
-        return {"type": "halfspace",
-                "normal": [float(v) for v in S.normal],
-                "offset": float(S.offset)}
-    if isinstance(S, Ball):
-        return {"type": "ball",
-                "center": [float(v) for v in S.center],
-                "radius": float(S.radius)}
-    if isinstance(S, SecondOrderCone):
-        return {"type": "soc", "dim": S.dim}
-    if isinstance(S, TranslatedCone):
-        return {"type": "translated_cone",
-                "offset": [float(v) for v in S.offset],
-                "cone": set_to_obj(S.cone)}
-    if isinstance(S, Cartesian):
-        return {"type": "cartesian", "parts": [set_to_obj(p) for p in S.parts]}
+    for kind, (cls, members) in _SET_TYPES.items():
+        if isinstance(S, cls):
+            return {"type": kind, **{key: encode(getattr(S, attr))
+                                     for key, attr, (encode, _) in members}}
     raise ProblemFormatError(f"cannot serialize set of type {type(S).__name__}")
 
 
@@ -135,53 +152,24 @@ def set_from_obj(obj, where="set"):
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"{where}: expected an object")
     kind = obj.get("type")
+    if not isinstance(kind, str) or kind not in _SET_TYPES:
+        raise ProblemFormatError(f"{where}: unknown set type {kind!r}")
+    cls, members = _SET_TYPES[kind]
+    args = [decode(obj.get(key), f"{where}.{key}")
+            for key, _, (_, decode) in members]
     try:
-        if kind == "box":
-            if not isinstance(obj.get("l"), list) or not isinstance(obj.get("u"), list):
-                raise ProblemFormatError(f"{where}: box needs 'l' and 'u' arrays")
-            lower = [_bound(v, f"{where}.l[{i}]") for i, v in enumerate(obj["l"])]
-            upper = [_bound(v, f"{where}.u[{i}]") for i, v in enumerate(obj["u"])]
-            return Box(lower, upper)
-        if kind == "nonneg":
-            return NonnegativeOrthant(_positive_int(obj.get("dim"), f"{where}.dim"))
-        if kind == "zero":
-            return Zero(_positive_int(obj.get("dim"), f"{where}.dim"))
-        if kind == "point":
-            return Singleton(_finite_list(obj["value"], f"{where}.value"))
-        if kind == "halfspace":
-            return Halfspace(_finite_list(obj["normal"], f"{where}.normal"),
-                             _finite(obj["offset"], f"{where}.offset"))
-        if kind == "ball":
-            return Ball(_finite_list(obj["center"], f"{where}.center"),
-                        _finite(obj["radius"], f"{where}.radius"))
-        if kind == "soc":
-            return SecondOrderCone(_positive_int(obj.get("dim"), f"{where}.dim"))
-        if kind == "translated_cone":
-            return TranslatedCone(
-                _finite_list(obj["offset"], f"{where}.offset"),
-                set_from_obj(obj["cone"], f"{where}.cone"))
-        if kind == "cartesian":
-            parts = obj.get("parts")
-            if not isinstance(parts, list):
-                raise ProblemFormatError(f"{where}: cartesian needs a 'parts' array")
-            return Cartesian([set_from_obj(p, f"{where}.parts[{i}]")
-                              for i, p in enumerate(parts)])
-    except ProblemFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        return cls(*args)
+    except ValueError as exc:
         raise ProblemFormatError(f"{where}: {exc}") from exc
-    raise ProblemFormatError(f"{where}: unknown set type {kind!r}")
 
 
 def _triplets_from_matrix(M, upper_only=False):
-    rows, cols = M.shape
-    out = []
-    for r in range(rows):
-        for c in range(r if upper_only else 0, cols):
-            v = M[r, c]
-            if v != 0.0:
-                out.append([r, c, float(v)])
-    return out
+    """Row-major ``[row, col, value]`` of the nonzero entries (-0.0 is zero)."""
+    if upper_only:
+        M = np.triu(M)
+    rows, cols = np.nonzero(M)
+    return [list(t) for t in zip(rows.tolist(), cols.tolist(),
+                                 M[rows, cols].tolist())]
 
 
 def _matrix_from_triplets(entries, rows, cols, where, mirror=False):
@@ -209,34 +197,37 @@ def _matrix_from_triplets(entries, rows, cols, where, mirror=False):
     return M
 
 
+# kind -> its vector members as (key, length "n" or "m")
+_TRUTH_KINDS = {
+    "kkt": (("x", "n"), ("z", "m"), ("y", "m")),
+    "primal_certificate": (("vector", "m"),),
+    "dual_certificate": (("vector", "n"),),
+}
+_CANDIDATE_KINDS = {
+    "primal_infeasibility": (("vector", "m"),),
+    "dual_infeasibility": (("vector", "n"),),
+}
+
+
+def _vectors_from_obj(obj, where, kinds, n, m):
+    """Decode ``{"kind": ..., <vector members>}`` by the ``kinds`` table."""
+    if not isinstance(obj, dict):
+        raise ProblemFormatError(f"{where}: expected an object")
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ProblemFormatError(f"{where}: unknown kind {kind!r}")
+    length = {"n": n, "m": m}
+    return {"kind": kind, **{key: _finite_list(obj.get(key), f"{where}.{key}",
+                                               length[size])
+                             for key, size in kinds[kind]}}
+
+
 def truth_to_obj(truth):
     kind = truth.get("kind")
-    if kind == "kkt":
-        return {"kind": "kkt",
-                "x": [float(v) for v in truth["x"]],
-                "z": [float(v) for v in truth["z"]],
-                "y": [float(v) for v in truth["y"]]}
-    if kind in ("primal_certificate", "dual_certificate"):
-        return {"kind": kind, "vector": [float(v) for v in truth["vector"]]}
-    raise ProblemFormatError(f"unknown truth kind {kind!r}")
-
-
-def truth_from_obj(obj, n, m):
-    if not isinstance(obj, dict):
-        raise ProblemFormatError("truth: expected an object")
-    kind = obj.get("kind")
-    if kind == "kkt":
-        return {"kind": "kkt",
-                "x": _finite_list(obj.get("x"), "truth.x", n),
-                "z": _finite_list(obj.get("z"), "truth.z", m),
-                "y": _finite_list(obj.get("y"), "truth.y", m)}
-    if kind == "primal_certificate":
-        return {"kind": kind,
-                "vector": _finite_list(obj.get("vector"), "truth.vector", m)}
-    if kind == "dual_certificate":
-        return {"kind": kind,
-                "vector": _finite_list(obj.get("vector"), "truth.vector", n)}
-    raise ProblemFormatError(f"truth: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _TRUTH_KINDS:
+        raise ProblemFormatError(f"unknown truth kind {kind!r}")
+    return {"kind": kind, **{key: _floats(truth[key])
+                             for key, _ in _TRUTH_KINDS[kind]}}
 
 
 def problem_to_obj(problem, truth=None):
@@ -244,7 +235,7 @@ def problem_to_obj(problem, truth=None):
         "n": problem.n,
         "m": problem.m,
         "Q": _triplets_from_matrix(problem.Q, upper_only=True),
-        "q": [float(v) for v in problem.q],
+        "q": _floats(problem.q),
         "A": _triplets_from_matrix(problem.A),
         "set": set_to_obj(problem.C),
     }
@@ -272,9 +263,8 @@ def problem_from_obj(obj):
         problem = ProblemData(Q=Q, q=q, A=A, C=C)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
-    truth = None
-    if "truth" in obj:
-        truth = truth_from_obj(obj["truth"], n, m)
+    truth = (_vectors_from_obj(obj["truth"], "truth", _TRUTH_KINDS, n, m)
+             if "truth" in obj else None)
     return problem, truth
 
 
@@ -304,17 +294,9 @@ def save_bundle(path, bundle: InstanceBundle):
 def load_candidate(path, n, m):
     """Load a certificate candidate: {"kind": ..., "vector": [...]}."""
     with open(path) as fh:
-        obj = _loads(fh.read())
-    if not isinstance(obj, dict):
-        raise ProblemFormatError("candidate: expected an object")
-    kind = obj.get("kind")
-    if kind == "primal_infeasibility":
-        vector = _finite_list(obj.get("vector"), "candidate.vector", m)
-    elif kind == "dual_infeasibility":
-        vector = _finite_list(obj.get("vector"), "candidate.vector", n)
-    else:
-        raise ProblemFormatError(f"candidate: unknown kind {kind!r}")
-    return kind, vector
+        obj = _vectors_from_obj(_loads(fh.read()), "candidate",
+                                _CANDIDATE_KINDS, n, m)
+    return obj["kind"], obj["vector"]
 
 
 def load_warm(path, first_key, second_key, n, m):
@@ -333,7 +315,7 @@ def load_warm(path, first_key, second_key, n, m):
 def certificate_to_obj(cert: Certificate):
     """Infinite metrics become the strings "inf" / "-inf", like box bounds."""
     return {"kind": cert.kind,
-            "vector": [float(v) for v in cert.vector],
+            "vector": _floats(cert.vector),
             "metrics": {key: _encode_bound(value)
                         for key, value in cert.metrics.items()}}
 
@@ -342,10 +324,11 @@ def outcome_to_obj(result, config_echo):
     obj = {"status": result.status, "iterations": result.iterations}
     if result.certificate is not None:
         obj["certificate"] = certificate_to_obj(result.certificate)
+        second = result.extra.get("secondary_certificate")
+        if second is not None:
+            obj["secondary_certificate"] = certificate_to_obj(second)
     else:
-        obj["x"] = [float(v) for v in result.x]
-        obj["z"] = [float(v) for v in result.z]
-        obj["y"] = [float(v) for v in result.y]
+        obj.update((key, _floats(getattr(result, key))) for key in "xzy")
     if result.residuals is not None:
         obj["residuals"] = {"primal": result.residuals[0],
                             "dual": result.residuals[1]}
@@ -357,12 +340,11 @@ def dumps_outcome(result, config_echo):
     return json.dumps(outcome_to_obj(result, config_echo), indent=2) + "\n"
 
 
+_TRACE_NAMES = [f.name for f in dataclasses.fields(TraceRecord)]
 # a record's fields in order: dataclasses.astuple without its deepcopy
-_trace_fields = operator.attrgetter(
-    *(f.name for f in dataclasses.fields(TraceRecord)))
-TRACE_COLUMNS = ["iter", "primal_res", "dual_res", "norm_dx", "norm_dy",
-                 "norm_At_dy", "support_dy", "norm_Q_dx", "q_dot_dx",
-                 "dist_rec"]
+_trace_fields = operator.attrgetter(*_TRACE_NAMES)
+# the counter n is written as "iter"; inner_iters is optional per file
+TRACE_COLUMNS = ["iter", *_TRACE_NAMES[1:-1]]
 
 
 def write_trace_csv(path, records):

@@ -105,8 +105,6 @@ class InstanceBundle:
 
     problem: ProblemData
     truth: dict
-    seed: int
-    family: str
 
 
 def _check_args(set_family, n, m):
@@ -269,8 +267,7 @@ def gen_feasible(seed, n, m, set_family="box"):
     q = -(Q @ x_star + A.T @ y_star)
     problem = ProblemData(Q=Q, q=q, A=A, C=C)
     truth = {"kind": "kkt", "x": x_star, "z": z_star, "y": y_star}
-    return InstanceBundle(problem=problem, truth=truth, seed=seed,
-                          family=set_family)
+    return InstanceBundle(problem=problem, truth=truth)
 
 
 def _box_around(rng, z):
@@ -347,8 +344,7 @@ def gen_primal_infeasible(seed, n, m, set_family="box"):
     q = rng.vector(n)
     problem = ProblemData(Q=Q, q=q, A=A, C=C)
     truth = {"kind": "primal_certificate", "vector": ybar}
-    return InstanceBundle(problem=problem, truth=truth, seed=seed,
-                          family=set_family)
+    return InstanceBundle(problem=problem, truth=truth)
 
 
 def _shifted_offset(rng, ybar):
@@ -405,8 +401,7 @@ def gen_dual_infeasible(seed, n, m, set_family="box"):
     q = _shifted_offset(rng, xbar)
     problem = ProblemData(Q=Q, q=q, A=A, C=C)
     truth = {"kind": "dual_certificate", "vector": xbar}
-    return InstanceBundle(problem=problem, truth=truth, seed=seed,
-                          family=set_family)
+    return InstanceBundle(problem=problem, truth=truth)
 
 
 def generate(kind, seed, n, m, set_family="box"):

@@ -104,14 +104,6 @@ class ProjectionJacobian:
             return None
         return self.d.tobytes(), tuple(start for start, _, _ in self.terms)
 
-    def dense(self):
-        """The matrix D as a dense array."""
-        D = np.diag(self.d)
-        for start, U, N in self.terms:
-            sl = slice(start, start + U.shape[0])
-            D[sl, sl] += U @ N @ U.T
-        return D
-
 
 class SetDescriptor:
     """Base class: the public set methods, each validating its input once.

@@ -17,7 +17,8 @@ from splitqp.instances import SET_FAMILIES, generate
 from splitqp.outcome import DUAL_INFEASIBLE, SolveOutcome
 from splitqp.pp import PpConfig
 from splitqp.problem import Certificate, ProblemData
-from splitqp.sets import Box, Cartesian, SecondOrderCone, TranslatedCone
+from splitqp.sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
+                          SecondOrderCone, Singleton, TranslatedCone, Zero)
 
 inf = np.inf
 
@@ -34,6 +35,41 @@ def unbounded_problem():
 
 def feasible_problem():
     return ProblemData(Q=np.eye(1), q=[-0.5], A=[[1.0]], C=Box([0.0], [1.0]))
+
+
+def both_infeasible_problem():
+    # x1 in [1, 2] and in [3, 4], while x2 >= 0 lowers the cost unboundedly
+    return ProblemData(Q=np.zeros((2, 2)), q=[0.0, -1.0],
+                       A=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                       C=Box([1.0, 3.0, 0.0], [2.0, 4.0, inf]))
+
+
+def all_set_types_problem():
+    """A Cartesian of all nine set types, with -0.0 and infinite entries."""
+    C = Cartesian([
+        Box([-0.0, -inf, 1.5], [0.0, 2.0, inf]),
+        NonnegativeOrthant(2),
+        Zero(1),
+        Singleton([-0.0, 3.25]),
+        Halfspace([1.0, -0.0, 2.0], -0.5),
+        Ball([0.0, -0.0], 2.5),
+        SecondOrderCone(3),
+        TranslatedCone([1.0, -0.0], NonnegativeOrthant(2)),
+        TranslatedCone([0.5], Zero(1)),
+        TranslatedCone([-0.0, 1.0, 2.0], SecondOrderCone(3)),
+        Cartesian([Box([0.0], [1.0]), Cartesian([Zero(2)])]),
+    ])
+    A = np.arange(1.0, 3.0 * C.dim + 1.0).reshape(C.dim, 3)
+    A[0, 0] = -0.0
+    A[1] = 0.0
+    Q = np.array([[2.0, -0.0, 0.5], [-0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
+    return ProblemData(Q=Q, q=[1.0, -0.0, 0.25], A=A, C=C)
+
+
+# (part index in all_set_types_problem, member) for every set type
+SET_MEMBERS = [(0, "l"), (0, "u"), (1, "dim"), (2, "dim"), (3, "value"),
+               (4, "normal"), (4, "offset"), (5, "center"), (5, "radius"),
+               (6, "dim"), (7, "offset"), (7, "cone"), (10, "parts")]
 
 
 # ------------------------------------------------------------------- format
@@ -65,6 +101,50 @@ def test_nested_set_round_trip():
     text = fileio.dumps_problem(P)
     loaded, _ = fileio.loads_problem(text)
     assert fileio.dumps_problem(loaded) == text
+
+
+def test_all_set_types_round_trip_is_byte_identical():
+    P = all_set_types_problem()
+    text = fileio.dumps_problem(P)
+    obj = json.loads(text)
+    types = {part["type"] for part in obj["set"]["parts"]}
+    assert types == {"box", "nonneg", "zero", "point", "halfspace", "ball",
+                     "soc", "translated_cone", "cartesian"}
+    assert obj["set"]["parts"][0]["l"] == [-0.0, "-inf", 1.5]
+    assert math.copysign(1.0, obj["set"]["parts"][0]["l"][0]) == -1.0
+    assert obj["set"]["parts"][0]["u"] == [0.0, 2.0, "inf"]
+    assert [part["cone"]["type"] for part in obj["set"]["parts"][7:10]] == [
+        "nonneg", "zero", "soc"]
+    # -0.0 matrix entries are zeros and get no triplet
+    assert obj["Q"] == [[0, 0, 2.0], [0, 2, 0.5], [1, 1, 1.0], [2, 2, 3.0]]
+    assert obj["A"][:3] == [[0, 1, 2.0], [0, 2, 3.0], [2, 0, 7.0]]
+    loaded, _ = fileio.loads_problem(text)
+    assert fileio.dumps_problem(loaded) == text
+    assert math.copysign(1.0, loaded.C.parts[3].point[0]) == -1.0
+
+
+@pytest.mark.parametrize("bad", ["missing", "x", True],
+                         ids=["missing", "wrong_type", "bool"])
+@pytest.mark.parametrize("part,key", SET_MEMBERS)
+def test_malformed_set_member_is_named(part, key, bad):
+    obj = fileio.problem_to_obj(all_set_types_problem())
+    if bad == "missing":
+        del obj["set"]["parts"][part][key]
+    else:
+        obj["set"]["parts"][part][key] = bad
+    anchor = re.escape(f"set.parts[{part}].{key}")
+    with pytest.raises(fileio.ProblemFormatError, match=f"^{anchor}: "):
+        fileio.problem_from_obj(obj)
+
+
+def test_malformed_set_member_exits_2(tmp_path, capsys):
+    obj = fileio.problem_to_obj(all_set_types_problem())
+    del obj["set"]["parts"][5]["radius"]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: set.parts[5].radius: expected a number\n")
 
 
 def test_rejects_nan_and_bad_members():
@@ -227,6 +307,30 @@ def test_emitted_certificate_passes_check(tmp_path):
         "kind": outcome["certificate"]["kind"],
         "vector": outcome["certificate"]["vector"]}))
     assert main(["check", str(path), str(cand), "--eps", "1e-6"]) == 0
+
+
+@pytest.mark.parametrize("solver", ["dr", "pp"])
+def test_outcome_keeps_the_secondary_certificate(tmp_path, solver):
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, both_infeasible_problem())
+    out = tmp_path / "o.json"
+    assert main(["solve", str(path), "--solver", solver,
+                 "--out", str(out)]) == 10
+    outcome = json.loads(out.read_text())
+    assert list(outcome)[:4] == ["status", "iterations", "certificate",
+                                 "secondary_certificate"]
+    for key, kind in (("certificate", "primal_infeasibility"),
+                      ("secondary_certificate", "dual_infeasibility")):
+        assert outcome[key]["kind"] == kind
+        cand = tmp_path / f"{key}.json"
+        cand.write_text(json.dumps({"kind": kind,
+                                    "vector": outcome[key]["vector"]}))
+        assert main(["check", str(path), str(cand)]) == 0
+
+    fileio.save_problem(path, disjoint_problem())
+    assert main(["solve", str(path), "--solver", solver,
+                 "--out", str(out)]) == 10
+    assert "secondary_certificate" not in json.loads(out.read_text())
 
 
 def test_check_reports_metrics(tmp_path, capsys):

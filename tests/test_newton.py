@@ -14,6 +14,8 @@ from splitqp.sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
                           ProjectionJacobian, SecondOrderCone, Singleton,
                           TranslatedCone, Zero)
 
+from jacobians import dense
+
 inf = np.inf
 
 
@@ -95,7 +97,7 @@ def test_newton_matrix_matches_dense_reference(name, C, points):
     P, solver = _solver_for(C, gamma, seed=len(name))
     S = np.eye(P.n) + gamma * P.Q
     for v in points:
-        D = C.projection_jacobian(v).dense()
+        D = dense(C.projection_jacobian(v))
         reference = gamma ** 2 * (P.A.T @ ((np.eye(P.m) - D) @ P.A))
         assembled = solver.newton_matrix(C.projection_jacobian(v)) - S
         scale = max(1.0, float(np.max(np.abs(reference))))
@@ -134,7 +136,7 @@ def test_newton_matrix_is_bitwise_the_two_temporary_sum(name, C, points):
 @pytest.mark.parametrize("name,C,points", CASES, ids=[c[0] for c in CASES])
 def test_structured_jacobian_is_symmetric_with_spectrum_in_unit_interval(name, C, points):
     for v in points:
-        D = C.projection_jacobian(v).dense()
+        D = dense(C.projection_jacobian(v))
         assert np.max(np.abs(D - D.T)) <= 1e-15
         eigs = np.linalg.eigvalsh(D)
         assert eigs[0] >= -1e-12 and eigs[-1] <= 1.0 + 1e-12
@@ -152,8 +154,8 @@ def test_pattern_key_identifies_piecewise_constant_jacobians():
         if key is None:
             assert jac.blocks
             continue
-        seen.setdefault(key, jac.dense())
-        assert np.array_equal(seen[key], jac.dense())
+        seen.setdefault(key, dense(jac))
+        assert np.array_equal(seen[key], dense(jac))
     assert len(seen) > 4
 
 
@@ -200,7 +202,7 @@ class DenseNewtonPp(PpSolver):
         iters = 0
         while norm(Fx) > tol:
             assert iters < self.config.inner_max_iter
-            D = P.C.projection_jacobian(u).dense()
+            D = dense(P.C.projection_jacobian(u))
             J = S + g * g * (P.A.T @ ((np.eye(P.m) - D) @ P.A))
             step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(J, lower=True), -Fx)
             t = 1.0
@@ -249,7 +251,7 @@ def test_pattern_flip_forces_refactor(monkeypatch):
         # the factor in use must be that of the current active pattern
         c, lower = factor
         L = np.tril(c) if lower else np.triu(c).T
-        D = jacobians[-1].dense()
+        D = dense(jacobians[-1])
         assert np.allclose(L @ L.T, np.eye(2) + (np.eye(2) - D), rtol=0, atol=1e-14)
 
     monkeypatch.setattr(P.C, "projection_jacobian", recording_jacobian)

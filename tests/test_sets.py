@@ -11,6 +11,7 @@ from splitqp.sets import (Ball, Box, Cartesian, Halfspace, NonnegativeOrthant,
                           Singleton, TranslatedCone, Zero)
 
 from cesaro import cesaro_oracle, cesaro_triple
+from jacobians import dense
 
 ALL_KINDS = ["box", "orthant", "zero", "singleton", "halfspace", "ball",
              "soc", "translated_cone", "cartesian"]
@@ -298,8 +299,8 @@ def _near_kink(S, v, h):
         e = np.zeros(S.dim)
         e[j] = 10 * h
         probes.extend([v + e, v - e])
-    jac_ref = S.projection_jacobian(v).dense()
-    return any(np.max(np.abs(S.projection_jacobian(p).dense() - jac_ref)) > 1e-6
+    jac_ref = dense(S.projection_jacobian(v))
+    return any(np.max(np.abs(dense(S.projection_jacobian(p)) - jac_ref)) > 1e-6
                for p in probes)
 
 
@@ -313,7 +314,7 @@ def test_projection_jacobian_matches_finite_differences(kind):
             v = rng.normal(size=S.dim) * 2.0
             if _near_kink(S, v, h):
                 continue
-            D = S.projection_jacobian(v).dense()
+            D = dense(S.projection_jacobian(v))
             for j in range(S.dim):
                 e = np.zeros(S.dim)
                 e[j] = h
@@ -326,13 +327,13 @@ def test_projection_jacobian_matches_finite_differences(kind):
 def test_jacobian_kink_convention_clamps():
     # at an active bound the derivative is the clamped branch (zero)
     B = Box([0.0], [1.0])
-    assert B.projection_jacobian([0.0]).dense()[0, 0] == 0.0
-    assert B.projection_jacobian([1.0]).dense()[0, 0] == 0.0
-    assert B.projection_jacobian([0.5]).dense()[0, 0] == 1.0
+    assert dense(B.projection_jacobian([0.0]))[0, 0] == 0.0
+    assert dense(B.projection_jacobian([1.0]))[0, 0] == 0.0
+    assert dense(B.projection_jacobian([0.5]))[0, 0] == 1.0
     N = NonnegativeOrthant(1)
-    assert N.projection_jacobian([0.0]).dense()[0, 0] == 0.0
+    assert dense(N.projection_jacobian([0.0]))[0, 0] == 0.0
     H = Halfspace([1.0], 0.0)
-    assert H.projection_jacobian([0.0]).dense()[0, 0] == 0.0
+    assert dense(H.projection_jacobian([0.0]))[0, 0] == 0.0
 
 
 # ------------------------------------------ kernels against their old forms
