@@ -134,10 +134,9 @@ def terminate(solver, state, check_primal, check_dual):
                                                cfg.eps_dinf)
     if primal_cert is not None:
         # simultaneous primal and dual strong infeasibility
-        extra = ({} if dual_cert is None
-                 else {"secondary_certificate": dual_cert})
         return _outcome(state, oc.PRIMAL_INFEASIBLE, (prim, dual),
-                        certificate=primal_cert, extra=extra)
+                        certificate=primal_cert,
+                        secondary_certificate=dual_cert)
     if dual_cert is not None:
         return _outcome(state, oc.DUAL_INFEASIBLE, (prim, dual),
                         certificate=dual_cert)

@@ -121,7 +121,8 @@ _SETS = (lambda parts: [set_to_obj(p) for p in parts],
          lambda value, where: _array(value, where, item=set_from_obj))
 
 # JSON type -> (class, members as (key, attribute, codec) in constructor
-# order). The one list of set types; encoding tries the classes in order.
+# order). The one list of set types; encoding tries the classes in order,
+# so "point" must precede "translated_cone": a Singleton is a TranslatedCone.
 _SET_TYPES = {
     "box": (Box, (("l", "lower", _BOUNDS), ("u", "upper", _BOUNDS))),
     "nonneg": (NonnegativeOrthant, (("dim", "dim", _DIM),)),
@@ -324,9 +325,9 @@ def outcome_to_obj(result, config_echo):
     obj = {"status": result.status, "iterations": result.iterations}
     if result.certificate is not None:
         obj["certificate"] = certificate_to_obj(result.certificate)
-        second = result.extra.get("secondary_certificate")
-        if second is not None:
-            obj["secondary_certificate"] = certificate_to_obj(second)
+        if result.secondary_certificate is not None:
+            obj["secondary_certificate"] = certificate_to_obj(
+                result.secondary_certificate)
     else:
         obj.update((key, _floats(getattr(result, key))) for key in "xzy")
     if result.residuals is not None:

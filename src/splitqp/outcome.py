@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,8 +39,8 @@ class SolveOutcome:
     ``x``, ``z``, ``y`` hold the last iterates (the solution when
     ``status == "solved"``); ``certificate`` is set for the two
     infeasible statuses. ``residuals`` are the primal/dual residual
-    inf-norms at the final iterate. ``extra`` carries secondary
-    diagnostics such as a simultaneous second certificate.
+    inf-norms at the final iterate. ``secondary_certificate`` is the
+    dual certificate of a ``primal_infeasible`` run that found both.
     """
 
     status: str
@@ -51,4 +51,4 @@ class SolveOutcome:
     certificate: Optional[Certificate] = None
     residuals: Optional[tuple] = None
     residual_history: Optional[list] = None
-    extra: dict = field(default_factory=dict)
+    secondary_certificate: Optional[Certificate] = None

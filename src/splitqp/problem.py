@@ -12,8 +12,11 @@ A nonzero ``ybar`` with ``A.T ybar = 0`` and ``support_C(ybar) < 0``
 proves the problem strongly infeasible; a nonzero ``xbar`` with
 ``Q xbar = 0``, ``A xbar`` in the recession cone of C, and
 ``<q, xbar> < 0`` proves its dual strongly infeasible. The checkers
-below evaluate those conditions with a scale-free tolerance: every
-threshold is ``eps`` times the inf-norm of the candidate.
+below evaluate those conditions with a tolerance that is scale-free
+except for one test: every threshold is ``eps`` times the inf-norm of
+the candidate, but polar-cone membership inside ``support_C`` is tested
+against ``eps * max(1, ||ybar||_inf)``, absolute below
+``||ybar||_inf = 1`` (ROADMAP item 1 makes it relative).
 """
 
 from __future__ import annotations

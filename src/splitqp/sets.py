@@ -10,13 +10,16 @@ so the decomposition identity holds bit-exactly.
 
 The six public methods live on ``SetDescriptor`` and validate their
 input once (a finite 1-d vector of length ``dim``, else ValueError);
-then they call unchecked kernels. A new set supplies ``dim`` plus four
-kernels: ``_project``, ``_support``, ``_recession`` and ``_jacobian``.
+then they call unchecked kernels. A new set sets ``self.dim`` in its
+constructor and supplies four kernels: ``_project``, ``_support``,
+``_recession`` and ``_jacobian``. A cone supplies only ``_project`` and
+``_jacobian``: its polar distance defaults to the Moreau form. A point
+is the zero cone translated by it (``Singleton``).
 
 Support functions of cones are 0 on the polar cone and +inf elsewhere;
 deciding polar membership in floating point needs a tolerance, exposed
-as ``cone_tol`` (relative, default ``CONE_MEMBERSHIP_TOL``). Certificate
-checks pass their own epsilon through this knob.
+as ``cone_tol`` (times ``max(1, ||y||_inf)``, default
+``CONE_MEMBERSHIP_TOL``). Certificate checks pass their own epsilon.
 """
 
 from __future__ import annotations
@@ -108,16 +111,12 @@ class ProjectionJacobian:
 class SetDescriptor:
     """Base class: the public set methods, each validating its input once.
 
-    A concrete set supplies ``dim`` and four kernels that take an
-    already checked 1-d float vector of length ``dim``: ``_project(v)``,
-    ``_support(y, cone_tol)``, ``_recession(d)`` (projection onto the
-    recession cone) and ``_jacobian(v)``. Composite sets call their
-    parts' kernels on slices of the vector checked here.
+    A concrete set sets the int attribute ``dim`` and supplies four
+    kernels that take an already checked 1-d float vector of length
+    ``dim``: ``_project(v)``, ``_support(y, cone_tol)``, ``_recession(d)``
+    (projection onto the recession cone) and ``_jacobian(v)``. Composite
+    sets call their parts' kernels on slices of the vector checked here.
     """
-
-    @property
-    def dim(self):
-        raise NotImplementedError
 
     def _check_dim(self, v, name="vector"):
         return as_vector(v, dim=self.dim, name=name)
@@ -172,13 +171,10 @@ class Box(SetDescriptor):
             raise ValueError("box is empty: some lower bound exceeds its upper bound")
         self.lower = lower
         self.upper = upper
+        self.dim = lower.shape[0]
         self._bound_pairs = list(zip(lower.tolist(), upper.tolist()))
         self._rec_lower = np.where(np.isinf(lower), -np.inf, 0.0)
         self._rec_upper = np.where(np.isinf(upper), np.inf, 0.0)
-
-    @property
-    def dim(self):
-        return self.lower.shape[0]
 
     project = SetDescriptor.project  # perfbench's tests read Box.__dict__
 
@@ -210,22 +206,21 @@ class Box(SetDescriptor):
 class _Cone(SetDescriptor):
     """A closed convex cone: its own recession cone, support 0 or +inf.
 
-    Subclasses add ``_project``, ``_jacobian`` and ``_polar_distance(y)``,
-    the inf-norm distance of ``y`` from the polar cone, or override the
-    polar-membership test ``_in_polar``.
+    Subclasses add ``_project`` and ``_jacobian``. ``_polar_distance(y)``
+    is the inf-norm distance of ``y`` from the polar cone; by Moreau's
+    decomposition it is the norm of ``y``'s projection onto the cone.
     """
 
     def __init__(self, dim):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        self._dim = int(dim)
-
-    @property
-    def dim(self):
-        return self._dim
+        self.dim = int(dim)
 
     def _recession(self, d):
         return self._project(d)
+
+    def _polar_distance(self, y):
+        return inf_norm(self._project(y))
 
     def _in_polar(self, y, cone_tol):
         return self._polar_distance(y) <= cone_tol * max(1.0, inf_norm(y))
@@ -240,10 +235,6 @@ class NonnegativeOrthant(_Cone):
     def _project(self, v):
         return np.maximum(v, 0.0)
 
-    def _polar_distance(self, y):
-        # the polar cone is {y <= 0}
-        return float(np.max(np.maximum(y, 0.0), initial=0.0))
-
     def _jacobian(self, v):
         return ProjectionJacobian((v > 0.0).astype(float))
 
@@ -252,32 +243,6 @@ class Zero(_Cone):
     """The singleton cone ``{0}``."""
 
     def _project(self, v):
-        return np.zeros(self._dim)
-
-    def _in_polar(self, y, cone_tol):
-        return True  # the polar of {0} is the whole space
-
-    def _jacobian(self, v):
-        return ProjectionJacobian(np.zeros(self._dim))
-
-
-class Singleton(SetDescriptor):
-    """A single point ``{p}``."""
-
-    def __init__(self, point):
-        self.point = as_vector(point, name="point")
-
-    @property
-    def dim(self):
-        return self.point.shape[0]
-
-    def _project(self, v):
-        return self.point.copy()
-
-    def _support(self, y, cone_tol):
-        return float(self.point @ y)
-
-    def _recession(self, d):
         return np.zeros(self.dim)
 
     def _jacobian(self, v):
@@ -295,10 +260,7 @@ class Halfspace(SetDescriptor):
         if not math.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
         self._sqnorm = float(self.normal @ self.normal)
-
-    @property
-    def dim(self):
-        return self.normal.shape[0]
+        self.dim = self.normal.shape[0]
 
     def _cut(self, v, excess):
         """``v`` moved back along the normal by ``excess`` when positive."""
@@ -343,10 +305,7 @@ class Ball(SetDescriptor):
         self.radius = float(radius)
         if not math.isfinite(self.radius) or self.radius < 0.0:
             raise ValueError("ball radius must be finite and nonnegative")
-
-    @property
-    def dim(self):
-        return self.center.shape[0]
+        self.dim = self.center.shape[0]
 
     def _project(self, v):
         diff = v - self.center
@@ -386,29 +345,30 @@ class SecondOrderCone(_Cone):
         if rho <= t:
             return v.copy()
         if rho <= -t:
-            return np.zeros(self._dim)
+            return np.zeros(self.dim)
         scale = 0.5 * (t + rho)
-        out = np.empty(self._dim)
+        out = np.empty(self.dim)
         out[0] = scale
         out[1:] = (scale / rho) * x
         return out
 
     def _polar_distance(self, y):
-        # y minus its projection -proj_K(-y) onto the polar cone -K
+        # y minus its projection -proj_K(-y) onto the polar cone -K; the
+        # Moreau form differs from it by rounding, so the bits stay these
         return inf_norm(y + self._project(-y))
 
     def _jacobian(self, v):
         t, x = v[0], v[1:]
         rho = _norm(x)
         if rho <= -t:
-            return ProjectionJacobian(np.zeros(self._dim))
+            return ProjectionJacobian(np.zeros(self.dim))
         if rho < t:
-            return ProjectionJacobian(np.ones(self._dim))
+            return ProjectionJacobian(np.ones(self.dim))
         # boundary branch: with r = t / rho, e0 = (1, 0) and w' = (0, x / rho),
         #   D = [[1/2, w.T/2], [w/2, ((1 + r) I - r w w.T) / 2]]
         #     = (1 + r)/2 I + [e0 w'] N [e0 w'].T,  N = [[-r, 1], [1, -r]] / 2
         ratio = t / rho
-        U = np.zeros((self._dim, 2))
+        U = np.zeros((self.dim, 2))
         U[0, 0] = 1.0
         U[1:, 1] = x / rho
         N = 0.5 * np.array([[-ratio, 1.0], [1.0, -ratio]])
@@ -427,10 +387,7 @@ class TranslatedCone(SetDescriptor):
         if cone.dim != self.offset.shape[0]:
             raise ValueError("offset dimension does not match inner cone")
         self.cone = cone
-
-    @property
-    def dim(self):
-        return self.cone.dim
+        self.dim = cone.dim
 
     def _project(self, v):
         return self.offset + self.cone._project(v - self.offset)
@@ -447,6 +404,19 @@ class TranslatedCone(SetDescriptor):
         return self.cone._jacobian(v - self.offset)
 
 
+class Singleton(TranslatedCone):
+    """A single point ``{p}``: the zero cone translated by ``p``."""
+
+    def __init__(self, point):
+        point = as_vector(point, name="point")
+        super().__init__(point, Zero(point.shape[0]))
+        self.point = self.offset
+
+    def _project(self, v):
+        # not offset + 0.0, which turns a -0.0 coordinate into +0.0
+        return self.point.copy()
+
+
 class Cartesian(SetDescriptor):
     """Cartesian product of descriptors, concatenated coordinates."""
 
@@ -459,13 +429,9 @@ class Cartesian(SetDescriptor):
                 raise ValueError("cartesian parts must be set descriptors")
         self.parts = parts
         offsets = np.cumsum([0] + [p.dim for p in parts]).tolist()
-        self._dim = offsets[-1]
+        self.dim = offsets[-1]
         self._slices = [(part, slice(lo, hi)) for part, lo, hi
                         in zip(parts, offsets, offsets[1:])]
-
-    @property
-    def dim(self):
-        return self._dim
 
     def _project(self, v):
         out = np.empty(self.dim)

@@ -137,6 +137,15 @@ def test_malformed_set_member_is_named(part, key, bad):
         fileio.problem_from_obj(obj)
 
 
+def test_empty_point_is_named():
+    # a point needs a coordinate, as the zero cone it translates does
+    obj = fileio.problem_to_obj(all_set_types_problem())
+    obj["set"]["parts"][3]["value"] = []
+    with pytest.raises(fileio.ProblemFormatError,
+                       match=r"^set\.parts\[3\]: dimension must be at least 1$"):
+        fileio.problem_from_obj(obj)
+
+
 def test_malformed_set_member_exits_2(tmp_path, capsys):
     obj = fileio.problem_to_obj(all_set_types_problem())
     del obj["set"]["parts"][5]["radius"]

@@ -158,7 +158,7 @@ def test_simultaneous_certificates_tie_break():
                     C=Box([-inf, -inf], [inf, -1.0]))
     result = dr_run(P)
     assert result.status == "primal_infeasible"
-    second = result.extra["secondary_certificate"]
+    second = result.secondary_certificate
     assert second.kind == "dual_infeasibility"
 
 

@@ -92,13 +92,11 @@ def _reference_check(self, state):
                     metrics={**metrics, "eps": cfg.eps_dinf, "polished": 1.0,
                              "polish_angle": float(np.arccos(min(cos, 1.0)))})
     if primal_cert is not None:
-        extra = {}
-        if dual_cert is not None:
-            extra["secondary_certificate"] = dual_cert
         return oc.SolveOutcome(
             status=oc.PRIMAL_INFEASIBLE, iterations=state.n,
             x=state.x.copy(), z=state.z.copy(), y=state.y.copy(),
-            certificate=primal_cert, residuals=(prim, dual), extra=extra)
+            certificate=primal_cert, residuals=(prim, dual),
+            secondary_certificate=dual_cert)
     if dual_cert is not None:
         return oc.SolveOutcome(
             status=oc.DUAL_INFEASIBLE, iterations=state.n,
@@ -160,9 +158,8 @@ def _assert_same_outcome(got, ref):
         assert np.array_equal(getattr(got, name), getattr(ref, name))
     assert got.residuals == ref.residuals
     _assert_same_certificate(got.certificate, ref.certificate)
-    assert got.extra.keys() == ref.extra.keys()
-    _assert_same_certificate(got.extra.get("secondary_certificate"),
-                             ref.extra.get("secondary_certificate"))
+    _assert_same_certificate(got.secondary_certificate,
+                             ref.secondary_certificate)
     assert got.residual_history == ref.residual_history
 
 
@@ -189,7 +186,7 @@ def test_simultaneous_certificates_match_reference(solver_cls):
                     C=Box([1.0, 3.0, 0.0], [2.0, 4.0, np.inf]))
     got = solver_cls(P).run(collect_trace=True)
     assert got.status == oc.PRIMAL_INFEASIBLE
-    assert got.extra["secondary_certificate"].kind == "dual_infeasibility"
+    assert got.secondary_certificate.kind == "dual_infeasibility"
     _assert_same_outcome(got, _reference_run(solver_cls(P), collect_trace=True))
 
 

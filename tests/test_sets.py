@@ -29,9 +29,18 @@ def random_sets(kind, count, base_seed=0):
 # ---------------------------------------------------------------- dimensions
 
 def test_dim_examples():
-    assert Box([0, 0], [1, 1]).dim == 2
-    assert Cartesian([Box([0, 0], [1, 1]), SecondOrderCone(3)]).dim == 5
-    assert Zero(4).dim == 4
+    # every set type sets dim, a plain int, in its constructor
+    examples = [(Box([0, 0], [1, 1]), 2),
+                (Cartesian([Box([0, 0], [1, 1]), SecondOrderCone(3)]), 5),
+                (Zero(4), 4), (NonnegativeOrthant(3), 3),
+                (Singleton([1.0, -0.0, 2.0]), 3),
+                (Halfspace([1.0, -2.0], 0.5), 2), (Ball([0.0], 1.0), 1),
+                (SecondOrderCone(3), 3),
+                (TranslatedCone([1.0, 2.0], NonnegativeOrthant(2)), 2)]
+    assert len({type(S) for S, _ in examples}) == len(ALL_KINDS)
+    for S, dim in examples:
+        assert S.dim == dim
+        assert type(S.dim) is int
 
 
 # ---------------------------------------------------------------- projection
@@ -188,6 +197,12 @@ def test_descriptor_validation():
         Cartesian([])
     with pytest.raises(ValueError, match="NaN"):
         Box([np.nan], [1.0])
+
+
+def test_empty_point_raises():
+    # a point is a translated zero cone, which needs at least one coordinate
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        Singleton([])
 
 
 def test_whole_space():
@@ -540,3 +555,58 @@ def test_cartesian_kernels_match_old_forms():
             new = (C._project(v), C._support(v, 1e-9), C._recession(v),
                    C._jacobian(v))
             assert [_bits(a) for a in new] == [_bits(a) for a in old]
+
+
+def _signed_zeros(rng, v):
+    v = v.copy()
+    v[rng.uniform(size=v.shape[0]) < 0.2] = 0.0
+    v[rng.uniform(size=v.shape[0]) < 0.2] = -0.0
+    return v
+
+
+def test_orthant_polar_test_matches_old_form():
+    rng = np.random.default_rng(61)
+    for trial in range(300):
+        dim = 1 + trial % 7
+        y = _signed_zeros(rng, rng.normal(size=dim) * 10.0 ** rng.integers(-8, 9))
+        if trial % 3 != 2:
+            y = -np.abs(y)                         # in the polar cone {y <= 0}
+        if trial % 3 == 1:
+            y[0] = 10.0 ** rng.integers(-14, 0)    # near its boundary
+        K = NonnegativeOrthant(dim)
+        old = float(np.max(np.maximum(y, 0.0), initial=0.0))
+        assert _bits(K._polar_distance(y)) == _bits(old)
+        for tol in (1e-12, 1e-6, 1e-2, 1.0):
+            verdict = old <= tol * max(1.0, inf_norm(y))
+            assert K._in_polar(y, tol) == verdict
+            assert (_bits(K.support(y, cone_tol=tol))
+                    == _bits(0.0 if verdict else inf))
+
+
+def test_zero_cone_support_is_zero_everywhere():
+    # the polar of {0} is the whole space
+    rng = np.random.default_rng(67)
+    for trial in range(100):
+        dim = 1 + trial % 5
+        y = _signed_zeros(rng, rng.normal(size=dim)
+                          * 10.0 ** rng.integers(-300, 301))
+        for tol in (1e-300, 1e-12, 1.0, 1e300):
+            assert _bits(Zero(dim).support(y, cone_tol=tol)) == _bits(0.0)
+
+
+def test_singleton_kernels_match_old_forms():
+    rng = np.random.default_rng(71)
+    for trial in range(200):
+        dim = 1 + trial % 6
+        p = _signed_zeros(rng, rng.normal(size=dim) * 10.0 ** rng.integers(-4, 5))
+        p[trial % dim] = -0.0
+        S = Singleton(p)
+        v = rng.normal(size=dim) * 10.0 ** rng.integers(-4, 5)
+        for w in (v, -v, np.zeros(dim), np.full(dim, -0.0), p):
+            assert _bits(S._project(w)) == _bits(p.copy())
+            assert S.project(w) is not S.point
+            assert (_bits(S._support(w, 1e-12)) == _bits(S.support(w))
+                    == _bits(float(p @ w)))
+            assert _bits(S._recession(w)) == _bits(np.zeros(dim))
+            assert (_bits(S._jacobian(w))
+                    == _bits(ProjectionJacobian(np.zeros(dim))))
