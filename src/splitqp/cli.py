@@ -22,7 +22,7 @@ import numpy as np
 from . import fileio
 from . import outcome as oc
 from .dr import DrConfig, DrSolver
-from .instances import SET_FAMILIES, generate
+from .instances import KINDS, SET_FAMILIES, generate
 from .pp import InnerSolveError, PpConfig, PpSolver
 from .problem import check_dual_certificate, check_primal_certificate
 
@@ -34,6 +34,8 @@ EXIT_CODES = {
 }
 # not in EXIT_CODES: a breakdown writes no outcome
 EXIT_BREAKDOWN = 3
+# --solver name -> (config class, solver class, warm start's dual member)
+SOLVERS = {"dr": (DrConfig, DrSolver, "v"), "pp": (PpConfig, PpSolver, "y")}
 
 
 def _build_parser():
@@ -44,7 +46,7 @@ def _build_parser():
 
     solve = sub.add_parser("solve", help="solve a problem file")
     solve.add_argument("path", help="problem file (JSON)")
-    solve.add_argument("--solver", choices=("dr", "pp"), default="dr")
+    solve.add_argument("--solver", choices=tuple(SOLVERS), default="dr")
     solve.add_argument("--alpha", type=float,
                        help="DR relaxation parameter, in (0, 2)")
     solve.add_argument("--gamma", type=float,
@@ -61,8 +63,7 @@ def _build_parser():
                        help="write the outcome JSON here instead of stdout")
 
     gen = sub.add_parser("generate", help="generate a problem with ground truth")
-    gen.add_argument("family",
-                     choices=("feasible", "primal_infeasible", "dual_infeasible"))
+    gen.add_argument("family", choices=tuple(KINDS))
     gen.add_argument("out", help="output problem file")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-n", type=int, required=True, help="variable dimension")
@@ -81,14 +82,11 @@ def _cmd_solve(args):
         if getattr(args, flag) is not None and args.solver != owner:
             raise ValueError(f"--{flag} applies only to --solver {owner}")
     problem, _ = fileio.load_problem(args.path)
-    if args.solver == "dr":
-        config_cls, solver_cls, dual_key = DrConfig, DrSolver, "v"
-    else:
-        config_cls, solver_cls, dual_key = PpConfig, PpSolver, "y"
+    config_cls, solver_cls, dual_key = SOLVERS[args.solver]
     config = config_cls(**{
         f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)
         if getattr(args, f.name, None) is not None})
-    warm = (fileio.load_warm(args.warm, "x", dual_key, problem.n, problem.m)
+    warm = (fileio.load_warm(args.warm, dual_key, problem.n, problem.m)
             if args.warm else None)
     try:
         # a breakdown reports itself in one line, without numpy's warnings

@@ -55,7 +55,10 @@ def _loads(text):
 def _finite(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFormatError(f"{where}: expected a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ProblemFormatError(f"{where}: value must be finite")
     return v
@@ -300,17 +303,17 @@ def load_candidate(path, n, m):
     return obj["kind"], obj["vector"]
 
 
-def load_warm(path, first_key, second_key, n, m):
-    """Load a warm start {"x": [...], "<v|y>": [...]}."""
+def load_warm(path, dual_key, n, m):
+    """Load a warm start {"x": [...], dual_key: [...]}; "v" (DR) or "y" (PP)."""
     with open(path) as fh:
         obj = _loads(fh.read())
     if not isinstance(obj, dict):
         raise ProblemFormatError("warm start: expected an object")
-    if first_key not in obj or second_key not in obj:
+    if "x" not in obj or dual_key not in obj:
         raise ProblemFormatError(
-            f"warm start: needs members {first_key!r} and {second_key!r}")
-    return (_finite_list(obj[first_key], f"warm.{first_key}", n),
-            _finite_list(obj[second_key], f"warm.{second_key}", m))
+            f"warm start: needs members 'x' and {dual_key!r}")
+    return (_finite_list(obj["x"], "warm.x", n),
+            _finite_list(obj[dual_key], f"warm.{dual_key}", m))
 
 
 def certificate_to_obj(cert: Certificate):

@@ -404,12 +404,13 @@ def gen_dual_infeasible(seed, n, m, set_family="box"):
     return InstanceBundle(problem=problem, truth=truth)
 
 
+# truth kind -> its generator; the choices of ``splitqp generate``, in order
+KINDS = {"feasible": gen_feasible, "primal_infeasible": gen_primal_infeasible,
+         "dual_infeasible": gen_dual_infeasible}
+
+
 def generate(kind, seed, n, m, set_family="box"):
     """Dispatch on the truth kind; used by the command-line generator."""
-    if kind == "feasible":
-        return gen_feasible(seed, n, m, set_family)
-    if kind == "primal_infeasible":
-        return gen_primal_infeasible(seed, n, m, set_family)
-    if kind == "dual_infeasible":
-        return gen_dual_infeasible(seed, n, m, set_family)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    return KINDS[kind](seed, n, m, set_family)

@@ -68,37 +68,31 @@ class SpdFactor:
     Cholesky factor.
 
     Factor and invert once, solve many times; only the inverse is kept.
-    It comes from LAPACK ``potri`` on the factor, with its lower triangle
-    mirrored so that it is symmetric bit for bit. A solve checks the
-    right-hand side and returns ``inverse @ b``. That one ``gemv`` runs
-    about four times faster than the two triangular solves of LAPACK
-    ``potrs`` with one right-hand side (n=300, one BLAS thread), with a
-    forward error of the same order, cond(M) times rounding.
+    The constructor runs LAPACK ``potri`` on the lower factor ``cho[0]``
+    and mirrors the lower triangle so that the inverse is symmetric bit
+    for bit. A solve checks ``b`` against the inverse's order and returns
+    ``inverse @ b``. That one ``gemv`` runs about four times faster than
+    the two triangular solves of ``potrs`` with one right-hand side
+    (n=300, one BLAS thread), with a forward error of the same order,
+    cond(M) times rounding.
     """
 
     def __init__(self, cho):
-        self._inverse = _lower_cholesky_inverse(cho[0])
-
-    @property
-    def order(self):
-        return self._inverse.shape[0]
+        c = cho[0]
+        n = c.shape[0]
+        if n == 0:  # potri rejects empty operands
+            self._inverse = np.zeros((0, 0))
+            return
+        potri, = scipy.linalg.get_lapack_funcs(("potri",), (c,))
+        inv, info = potri(c, lower=True)
+        if info != 0:
+            raise ValueError(f"potri failed with info {info}")
+        # potri fills the lower triangle; copy it onto the upper one
+        self._inverse = np.where(np.tri(n, dtype=bool), inv, inv.T)
 
     def solve(self, b):
-        b = as_vector(b, dim=self.order, name="right-hand side")
+        b = as_vector(b, dim=self._inverse.shape[0], name="right-hand side")
         return self._inverse @ b
-
-
-def _lower_cholesky_inverse(c):
-    """Symmetric inverse of ``L L.T``, with ``L`` the lower triangle of ``c``."""
-    n = c.shape[0]
-    if n == 0:  # potri rejects empty operands
-        return np.zeros((0, 0))
-    potri, = scipy.linalg.get_lapack_funcs(("potri",), (c,))
-    inv, info = potri(c, lower=True)
-    if info != 0:
-        raise ValueError(f"potri failed with info {info}")
-    # potri fills the lower triangle; copy it onto the upper one
-    return np.where(np.tri(n, dtype=bool), inv, inv.T)
 
 
 def spd_factor(M):
@@ -113,7 +107,7 @@ def spd_factor(M):
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if inf_norm(M - M.T) > SYMMETRY_ATOL:
-        raise ValueError("matrix is not symmetric within tolerance 1e-12")
+        raise ValueError(f"matrix is not symmetric within tolerance {SYMMETRY_ATOL:g}")
     try:
         cho = scipy.linalg.cho_factor(symmetrize(M), lower=True)
     except scipy.linalg.LinAlgError as exc:

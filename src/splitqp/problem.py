@@ -25,17 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (as_matrix, as_vector, inf_norm, require_positive,
-                     symmetrize)
+from .linalg import (SYMMETRY_ATOL, as_matrix, as_vector, inf_norm,
+                     require_positive, symmetrize)
 from .sets import SetDescriptor
 
-Q_SYMMETRY_ATOL = 1e-12
 Q_PSD_RTOL = 1e-10
 
 
 @dataclass
 class ProblemData:
-    """Immutable problem data ``(Q, q, A, C)``; validated on build."""
+    """Immutable problem data ``(Q, q, A, C)``; validated on build, which
+    also sets ``m, n = A.shape`` as plain attributes."""
 
     Q: np.ndarray
     q: np.ndarray
@@ -44,13 +44,13 @@ class ProblemData:
 
     def __post_init__(self):
         self.A = as_matrix(self.A, name="A")
-        m, n = self.A.shape
+        m, n = self.m, self.n = self.A.shape
         if m < 1 or n < 1:
             raise ValueError("problem needs at least one variable and one constraint row")
         self.Q = as_matrix(self.Q, shape=(n, n), name="Q")
         self.q = as_vector(self.q, dim=n, name="q")
-        if inf_norm(self.Q - self.Q.T) > Q_SYMMETRY_ATOL:
-            raise ValueError("Q is not symmetric within tolerance 1e-12")
+        if inf_norm(self.Q - self.Q.T) > SYMMETRY_ATOL:
+            raise ValueError(f"Q is not symmetric within tolerance {SYMMETRY_ATOL:g}")
         self.Q = symmetrize(self.Q)
         if not isinstance(self.C, SetDescriptor):
             raise ValueError("C must be a set descriptor")
@@ -61,14 +61,6 @@ class ProblemData:
         scale = max(1.0, inf_norm(eigs))
         if eigs.size and eigs[0] < -Q_PSD_RTOL * scale:
             raise ValueError("Q is not positive semidefinite")
-
-    @property
-    def n(self):
-        return self.A.shape[1]
-
-    @property
-    def m(self):
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)

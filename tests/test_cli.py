@@ -209,6 +209,125 @@ def test_truth_sidecar_round_trip():
     assert np.allclose(truth["x"], bundle.truth["x"])
 
 
+def triplet_problem_obj():
+    """n = 2, m = 3, with a nonzero triplet in both Q and A."""
+    return fileio.problem_to_obj(ProblemData(
+        Q=np.eye(2), q=[0.0, 0.0], A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        C=Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])))
+
+
+# (triplets, message) for each fault that reads the same in Q and A
+TRIPLET_FAULTS = [
+    ({}, "{key}: expected an array of triplets"),
+    ("x", "{key}: expected an array of triplets"),
+    (["x"], "{key}[0]: expected [row, col, value]"),
+    ([[0, 0]], "{key}[0]: expected [row, col, value]"),
+    ([[0, 0, 1.0, 2.0]], "{key}[0]: expected [row, col, value]"),
+    ([[True, 0, 1.0]], "{key}[0]: expected an integer index"),
+    ([[0, False, 1.0]], "{key}[0]: expected an integer index"),
+    ([[0.0, 0, 1.0]], "{key}[0]: expected an integer index"),
+    ([[0, 1.0, 1.0]], "{key}[0]: expected an integer index"),
+    ([[0, 0, inf]], "{key}[0]: value must be finite"),
+    ([[0, 0, "1.0"]], "{key}[0]: expected a number"),
+    ([[0, 0, 1.0], [0, 1, 2.0], [0, 0, 3.0]],
+     "{key}[2]: duplicate entry (0, 0)"),
+]
+# (member, triplets, message): indices out of range, A being 3 x 2 and Q 2 x 2
+RANGE_FAULTS = [
+    ("A", [[3, 0, 1.0]], "A[0]: index 3 out of range [0, 3)"),
+    ("A", [[-1, 0, 1.0]], "A[0]: index -1 out of range [0, 3)"),
+    ("A", [[0, 2, 1.0]], "A[0]: index 2 out of range [0, 2)"),
+    ("Q", [[2, 0, 1.0]], "Q[0]: index 2 out of range [0, 2)"),
+    ("Q", [[0, -1, 1.0]], "Q[0]: index -1 out of range [0, 2)"),
+    ("Q", [[0, 2, 1.0]], "Q[0]: index 2 out of range [0, 2)"),
+]
+
+
+def _assert_problem_fault(obj, text):
+    with pytest.raises(fileio.ProblemFormatError, match=f"^{re.escape(text)}$"):
+        fileio.problem_from_obj(obj)
+
+
+@pytest.mark.parametrize("key", ["A", "Q"])
+@pytest.mark.parametrize("triplets,message", TRIPLET_FAULTS)
+def test_triplet_fault_is_named(key, triplets, message):
+    obj = triplet_problem_obj()
+    obj[key] = triplets
+    _assert_problem_fault(obj, message.format(key=key))
+
+
+@pytest.mark.parametrize("key,triplets,message", RANGE_FAULTS)
+def test_triplet_index_out_of_range_is_named(key, triplets, message):
+    obj = triplet_problem_obj()
+    obj[key] = triplets
+    _assert_problem_fault(obj, message)
+
+
+def test_triplet_below_the_diagonal_of_q_is_named():
+    obj = triplet_problem_obj()
+    obj["Q"] = [[0, 0, 1.0], [1, 0, 0.5]]
+    _assert_problem_fault(obj, "Q[1]: entry (1, 0) is below the diagonal; "
+                          "store the upper triangle only")
+    obj["A"] = [[1, 0, 0.5]]  # A keeps its lower triangle
+    obj["Q"] = [[0, 0, 1.0]]
+    problem, _ = fileio.problem_from_obj(obj)
+    assert problem.A[1, 0] == 0.5
+
+
+# A JSON number that cannot become a finite float: an integer beyond the
+# float range, and a literal that parses to inf.
+NON_FINITE_LITERALS = ["1" + "0" * 400, "1e400"]
+
+
+def ball_problem():
+    return ProblemData(Q=np.eye(1), q=[0.0], A=[[1.0]], C=Ball([0.0], 1.0))
+
+
+@pytest.mark.parametrize("literal", NON_FINITE_LITERALS,
+                         ids=["huge_int", "1e400"])
+@pytest.mark.parametrize("problem,path,where", [
+    (disjoint_problem, ("A", 0, 2), "A[0]"),
+    (disjoint_problem, ("q", 0), "q[0]"),
+    (disjoint_problem, ("set", "u", 1), "set.u[1]"),
+    (ball_problem, ("set", "radius"), "set.radius"),
+], ids=["triplet", "q", "box_bound", "ball_radius"])
+def test_non_finite_problem_number_is_named(tmp_path, capsys, literal, problem,
+                                            path, where):
+    obj = fileio.problem_to_obj(problem())
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@NUMBER@"
+    file = tmp_path / "p.json"
+    file.write_text(json.dumps(obj).replace('"@NUMBER@"', literal))
+    assert main(["solve", str(file)]) == 2
+    assert capsys.readouterr().err == f"error: {where}: value must be finite\n"
+
+
+@pytest.mark.parametrize("literal", NON_FINITE_LITERALS,
+                         ids=["huge_int", "1e400"])
+def test_non_finite_candidate_number_is_named(tmp_path, capsys, literal):
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, disjoint_problem())
+    cand = tmp_path / "cand.json"
+    cand.write_text('{"kind": "primal_infeasibility", "vector": [1.0, %s]}'
+                    % literal)
+    assert main(["check", str(path), str(cand)]) == 2
+    assert capsys.readouterr().err == (
+        "error: candidate.vector[1]: value must be finite\n")
+
+
+@pytest.mark.parametrize("literal", NON_FINITE_LITERALS,
+                         ids=["huge_int", "1e400"])
+def test_non_finite_warm_start_number_is_named(tmp_path, capsys, literal):
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, feasible_problem())
+    warm = tmp_path / "warm.json"
+    warm.write_text('{"x": [%s], "v": [0.5]}' % literal)
+    assert main(["solve", str(path), "--warm", str(warm)]) == 2
+    assert capsys.readouterr().err == "error: warm.x[0]: value must be finite\n"
+
+
 # ---------------------------------------------------------------------- cli
 
 def test_solve_exit_codes(tmp_path, capsys):
@@ -603,3 +722,49 @@ def test_candidate_dimension_mismatch(tmp_path):
     cand.write_text(json.dumps({"kind": "primal_infeasibility",
                                 "vector": [1.0, -1.0, 0.0]}))
     assert main(["check", str(path), str(cand)]) == 2
+
+
+@pytest.mark.parametrize("solver,dual,other", [("dr", "v", "y"),
+                                               ("pp", "y", "v")])
+def test_warm_start_reads_the_solvers_dual_member(tmp_path, capsys, solver,
+                                                  dual, other):
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, feasible_problem())
+    warm = tmp_path / "warm.json"
+    warm.write_text(json.dumps({"x": [0.5], dual: [0.5]}))
+    args = ["solve", str(path), "--solver", solver, "--warm", str(warm),
+            "--out", str(tmp_path / "o.json")]
+    assert main(args) == 0
+    warm.write_text(json.dumps({"x": [0.5], other: [0.5]}))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: warm start: needs members 'x' and '{dual}'\n")
+    warm.write_text(json.dumps({"x": [0.5, 1.0], dual: [0.5]}))
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: warm.x: expected 1 entries, got 2\n")
+
+
+def test_choices_come_from_the_tables(capsys):
+    for argv, names in ((["solve", "p.json", "--solver", "cg"],
+                         splitqp.cli.SOLVERS),
+                        (["generate", "weak", "o.json", "-n", "1", "-m", "1"],
+                         splitqp.instances.KINDS)):
+        with pytest.raises(SystemExit):
+            main(argv)
+        tail = capsys.readouterr().err.split("choose from", 1)[1]
+        assert re.findall(r"\w+", tail) == list(names)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_check_refuses_a_small_false_certificate(tmp_path):
+    # feasible (x >= 5), yet t (1, -1) at t = 1e-7 passes the polar test
+    path = tmp_path / "p.json"
+    fileio.save_problem(path, ProblemData(
+        Q=np.zeros((1, 1)), q=[1.0], A=[[1.0], [1.0]],
+        C=TranslatedCone([0.0, 5.0], NonnegativeOrthant(2))))
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "primal_infeasibility",
+                                "vector": [1e-7, -1e-7]}))
+    assert main(["check", str(path), str(cand)]) == 1

@@ -147,6 +147,16 @@ def test_generator_argument_validation():
                 gen(1, n, m, "box")
 
 
+def test_generate_dispatches_through_the_kinds_table():
+    assert tuple(instances.KINDS) == ("feasible", "primal_infeasible",
+                                      "dual_infeasible")
+    for kind, gen in instances.KINDS.items():
+        a = generate(kind, 11, 4, 6, "box_soc")
+        b = gen(11, 4, 6, "box_soc")
+        assert fileio.dumps_problem(a.problem, a.truth) == \
+            fileio.dumps_problem(b.problem, b.truth)
+
+
 def test_cesaro_oracle_examples():
     # compact set: averaged projections vanish, residual recovers the drift
     S = Ball([0.0, 0.0], 1.0)

@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from splitqp.linalg import (NotPositiveDefiniteError, as_vector, inf_norm,
-                            spd_factor, spectral_norm_est, symmetrize)
+from splitqp.linalg import (NotPositiveDefiniteError, SpdFactor, as_vector,
+                            inf_norm, spd_factor, spectral_norm_est,
+                            symmetrize)
 
 
 def test_as_vector_rejects_nonfinite():
@@ -49,6 +50,25 @@ def test_spd_factor_examples():
 def test_spd_factor_rejects_nonsymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         spd_factor([[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_spd_factor_symmetry_message():
+    with pytest.raises(
+            ValueError,
+            match=r"^matrix is not symmetric within tolerance 1e-12$"):
+        spd_factor([[1.0, 2e-12], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_factor_inverse_is_the_mirrored_potri_result(n):
+    rng = np.random.default_rng(900 + n)
+    G = rng.normal(size=(n, n))
+    cho = scipy.linalg.cho_factor(G.T @ G + np.eye(n), lower=True)
+    potri, = scipy.linalg.get_lapack_funcs(("potri",), (cho[0],))
+    inv, info = potri(cho[0], lower=True)
+    assert info == 0
+    expected = np.tril(inv) + np.tril(inv, -1).T
+    assert np.array_equal(SpdFactor(cho)._inverse, expected)
 
 
 def test_spd_factor_rejects_indefinite():

@@ -7,7 +7,7 @@ from splitqp.instances import (gen_dual_infeasible, gen_feasible,
                                gen_primal_infeasible)
 from splitqp.problem import (ProblemData, check_dual_certificate,
                              check_primal_certificate, kkt_residuals)
-from splitqp.sets import Box, NonnegativeOrthant
+from splitqp.sets import Box, NonnegativeOrthant, TranslatedCone
 
 inf = np.inf
 
@@ -61,6 +61,43 @@ def test_primal_certificate_examples():
                      C=NonnegativeOrthant(2))
     ok, metrics = check_primal_certificate(P3, [1.0, -1.0], 1e-6)
     assert not ok and metrics["support"] == inf
+
+
+def test_symmetry_message_and_shape_attributes():
+    with pytest.raises(ValueError,
+                       match=r"^Q is not symmetric within tolerance 1e-12$"):
+        ProblemData(Q=[[0.0, 1e-11], [0.0, 0.0]], q=[0.0, 0.0],
+                    A=[[1.0, 0.0]], C=Box([0.0], [1.0]))
+    P = ProblemData(Q=[[0.0, 1e-13], [0.0, 0.0]], q=[0.0, 0.0],
+                    A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                    C=NonnegativeOrthant(3))
+    assert (P.m, P.n) == (3, 2) and vars(P)["m"] == 3 and vars(P)["n"] == 2
+    assert type(P.m) is int and type(P.n) is int
+
+
+def shifted_orthant_problem():
+    """Feasible: x with (x, x) in (0, 5) + R^2_+, i.e. x >= 5."""
+    return ProblemData(Q=np.zeros((1, 1)), q=[1.0], A=[[1.0], [1.0]],
+                       C=TranslatedCone([0.0, 5.0], NonnegativeOrthant(2)))
+
+
+def test_shifted_orthant_problem_is_solved_and_refuses_unit_candidates():
+    P = shifted_orthant_problem()
+    result = DrSolver(P).run()
+    assert result.status == "solved" and result.iterations == 125
+    for t in (1.0, 1e-3):
+        ok, metrics = check_primal_certificate(P, t * np.array([1.0, -1.0]),
+                                               1e-6)
+        assert not ok and metrics["support"] == inf
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_small_false_certificate_is_refused():
+    # polar membership is tested against an absolute floor below
+    # ||y||_inf = 1, so t (1, -1) at t = 1e-7 passes with support -5e-7
+    ok, _ = check_primal_certificate(shifted_orthant_problem(),
+                                     [1e-7, -1e-7], 1e-6)
+    assert not ok
 
 
 def test_dual_certificate_examples():
