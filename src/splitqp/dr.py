@@ -31,7 +31,7 @@ import numpy as np
 
 from . import driver
 from .driver import SolverState
-from .linalg import inf_norm, spd_factor
+from .linalg import inf_norms, matvecs, spd_factor
 from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
 
@@ -88,13 +88,16 @@ class DrSolver:
     def stopping_residuals(self, state: SolverState, products=None):
         """Residual norms evaluated directly at the current iterate.
 
-        ``products`` passes ``(A x, Q x, A.T y)`` when they are known.
+        ``products`` passes ``(A x, Q x, A.T y)`` when they are known. A
+        state of stacked rows gives a list per residual.
         """
         P = self.problem
         if products is None:
-            products = P.A @ state.x, P.Q @ state.x, P.A.T @ state.y
+            products = (matvecs(P.A, state.x), matvecs(P.Q, state.x),
+                        matvecs(P.A.T, state.y))
         Ax, Qx, Aty = products
-        return inf_norm(Ax - state.z), inf_norm(Qx + P.q + Aty)
+        return (inf_norms(Ax - state.z).tolist(),
+                inf_norms(Qx + P.q + Aty).tolist())
 
     def check_termination(self, state: SolverState):
         """The driver's tests, with this module's certificate checkers."""

@@ -2,12 +2,18 @@
 
 A solver supplies ``problem``, ``config``, ``initial_state``, ``step``,
 ``check_termination`` and ``stopping_residuals(state, products=None)``,
-the residual norms its optimality test, trace and ``max_iterations``
-outcome report (``products`` passes ``(A x, Q x, A.T y)`` when the
-caller has them). Config validation, the state, warm starts, the
-termination and certificate tests, the trace record and the run loop
-live here once. A traced run records its rows a block of states at a
-time.
+the one formula for the residual norms its optimality test, trace and
+``max_iterations`` outcome report (``products`` passes
+``(A x, Q x, A.T y)`` when the caller has them). Config validation, the
+state, warm starts, the termination and certificate tests, the trace
+record and the run loop live here once.
+
+A traced run records its rows a block of states at a time:
+``trace_record`` stacks the block into one state of ``(k, .)`` rows and
+evaluates each quantity once on the last axis (the residual formula, the
+norms, the set's support and recession kernels). Products and dot
+products stay one ``gemv`` or ``dot`` per state, so every row is bitwise
+the row of its state alone.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import outcome as oc
-from .linalg import as_vector, inf_norm, require_positive
+from .linalg import as_vector, inf_norm, inf_norms, matvecs, require_positive
 from .problem import Certificate
-from .sets import _norm
 
 TRACE_BLOCK = 25  # states per trace_record call in a traced run
 
@@ -44,7 +49,9 @@ class SolverState:
     ``dx = x_n - x_{n-1}`` and ``dy = y_n - y_{n-1}`` (zero at ``n = 0``)
     are the only differences kept: their limits are the dual and primal
     certificates. ``inner_iters`` counts the inner iterations of the
-    step that produced this state (PP only; None for DR).
+    step that produced this state (PP only; None for DR). The block
+    ``trace_record`` evaluates is one state of stacked rows, without
+    ``n``, ``v`` or ``inner_iters``.
     """
 
     n: int
@@ -147,33 +154,29 @@ def trace_record(solver, states):
     """Trace rows of consecutive states: the stopping residuals and the
     certificate quantities.
 
-    Each product is the per-state ``gemv`` and each norm is exact, so a
-    row is bitwise the one its state gives alone. Raises ValueError, as
-    the public set methods do, when a ``dy`` or ``A dx`` is not finite.
+    Each quantity is evaluated once on the block's stacked rows; products
+    and dot products stay per state and norms are exact, so a row is
+    bitwise the one its state gives alone. Raises ValueError, as the
+    public set methods do, when a ``dy`` or ``A dx`` is not finite.
     """
     P, cfg = solver.problem, solver.config
-    dx = np.array([s.dx for s in states])
-    dy = np.array([s.dy for s in states])
-    Adx, Atdy, Qdx = np.empty(dy.shape), np.empty(dx.shape), np.empty(dx.shape)
-    for s, Ad, Aty, Qd in zip(states, Adx, Atdy, Qdx):
-        np.matmul(P.A, s.dx, out=Ad)
-        np.matmul(P.A.T, s.dy, out=Aty)
-        np.matmul(P.Q, s.dx, out=Qd)
-    if not (np.isfinite(dy).all() and np.isfinite(Adx).all()):
+    block = SolverState(n=None, v=None, **{
+        f: np.array([getattr(s, f) for s in states])
+        for f in ("x", "y", "z", "dx", "dy")})
+    Adx = matvecs(P.A, block.dx)
+    if not (np.isfinite(block.dy).all() and np.isfinite(Adx).all()):
         raise ValueError("vector has non-finite entries")
-    norms = zip(*(np.abs(B).max(axis=1, initial=0.0).tolist()
-                  for B in (dx, dy, Atdy, Qdx)))
-    rows = []
-    for s, Ad, (ndx, ndy, nAtdy, nQdx) in zip(states, Adx, norms):
-        prim, dual = solver.stopping_residuals(s)
-        rows.append(oc.TraceRecord(
-            n=s.n, primal_res=prim, dual_res=dual,
-            norm_dx=ndx, norm_dy=ndy, norm_At_dy=nAtdy,
-            support_dy=float(P.C._support(s.dy, cfg.eps_pinf)),
-            norm_Q_dx=nQdx, q_dot_dx=float(P.q @ s.dx),
-            dist_rec=_norm(Ad - P.C._recession(Ad)),
-            inner_iters=s.inner_iters))
-    return rows
+    columns = (  # in TraceRecord's field order
+        *solver.stopping_residuals(block),
+        *(inf_norms(B).tolist() for B in (
+            block.dx, block.dy, matvecs(P.A.T, block.dy))),
+        P.C._support(block.dy, cfg.eps_pinf).tolist(),
+        inf_norms(matvecs(P.Q, block.dx)).tolist(),
+        np.array([P.q.dot(s.dx) for s in states]).tolist(),
+        np.sqrt([r.dot(r) for r in Adx - P.C._recession(Adx)]).tolist())
+    return [oc.TraceRecord(s.n, *(c[i] for c in columns),
+                           inner_iters=s.inner_iters)
+            for i, s in enumerate(states)]
 
 
 def iterate(solver, warm=None):

@@ -256,13 +256,14 @@ def problem_from_obj(obj):
             raise ProblemFormatError(f"missing required member {key!r}")
     n = _positive_int(obj["n"], "n")
     m = _positive_int(obj["m"], "m")
-    Q = _matrix_from_triplets(obj["Q"], n, n, "Q", mirror=True)
+    # q and the set confirm the declared sizes before Q and A are allocated
     q = _finite_list(obj["q"], "q", n)
-    A = _matrix_from_triplets(obj["A"], m, n, "A")
     C = set_from_obj(obj["set"])
     if C.dim != m:
         raise ProblemFormatError(
             f"set: dimension {C.dim} does not match m = {m}")
+    Q = _matrix_from_triplets(obj["Q"], n, n, "Q", mirror=True)
+    A = _matrix_from_triplets(obj["A"], m, n, "A")
     try:
         problem = ProblemData(Q=Q, q=q, A=A, C=C)
     except ValueError as exc:

@@ -58,6 +58,24 @@ def inf_norm(v):
     return float(np.abs(v).max(initial=0.0))
 
 
+def inf_norms(v):
+    """Max-abs norm along the last axis: a scalar for a vector, an array
+    for the rows of a stack. Each is exact, so a row's is bitwise its
+    ``inf_norm``."""
+    return np.abs(v).max(axis=-1, initial=0.0)
+
+
+def matvecs(M, v):
+    """``M @ v``, or ``M @ row`` for each row of a stack ``v``: one
+    ``gemv`` per row, so each row is bitwise the product of a vector."""
+    if v.ndim == 1:
+        return M @ v
+    out = np.empty((v.shape[0], M.shape[0]))
+    for row, product in zip(v, out):
+        M.dot(row, out=product)
+    return out
+
+
 def symmetrize(M):
     """Return ``(M + M.T) / 2``; guards against file round-trip noise."""
     return 0.5 * (M + M.T)

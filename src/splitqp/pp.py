@@ -77,7 +77,7 @@ import scipy.linalg
 
 from . import driver
 from .driver import SolverState
-from .linalg import inf_norm, require_positive
+from .linalg import inf_norm, inf_norms, require_positive
 from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
 
@@ -365,9 +365,11 @@ class PpSolver:
             dx=x_next - state.x, dy=y_next - state.y, inner_iters=iters)
 
     def stopping_residuals(self, state: SolverState, products=None):
-        """Residual norms from the scaled differences; ``products`` is unused."""
+        """Residual norms from the scaled differences; ``products`` is
+        unused. A state of stacked rows gives a list per residual."""
         g = self.config.gamma
-        return inf_norm(state.dy) / g, inf_norm(state.dx) / g
+        return ((inf_norms(state.dy) / g).tolist(),
+                (inf_norms(state.dx) / g).tolist())
 
     def check_termination(self, state: SolverState):
         """The driver's tests, with this module's certificate checkers."""

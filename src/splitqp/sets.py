@@ -16,6 +16,13 @@ constructor and supplies four kernels: ``_project``, ``_support``,
 ``_jacobian``: its polar distance defaults to the Moreau form. A point
 is the zero cone translated by it (``Singleton``).
 
+``_support`` and ``_recession`` also take the ``(k, dim)`` stack of a
+traced block: ``_support`` returns k values, ``_recession`` a stack, each
+row bitwise the kernel's value for that row alone. ``_per_row`` calls a
+kernel once per row where the last axis would change its bits or slow
+the projection every step makes. Dot products stay 1-d per row, since a
+matrix product adds in another order. The rest take vectors.
+
 Support functions of cones are 0 on the polar cone and +inf elsewhere;
 deciding polar membership in floating point needs a tolerance, exposed
 as ``cone_tol`` (times ``max(1, ||y||_inf)``, default
@@ -28,7 +35,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_vector, inf_norm
+from .linalg import as_vector, inf_norms
 
 CONE_MEMBERSHIP_TOL = 1e-12
 
@@ -45,6 +52,15 @@ def _norm(v):
     """
     v = v.ravel()
     return math.sqrt(float(v.dot(v)))
+
+
+def _per_row(kernel):
+    """A kernel of one vector, called per row on a stack."""
+    def rows(self, v, *args):
+        if v.ndim == 1:
+            return kernel(self, v, *args)
+        return np.array([kernel(self, row, *args) for row in v])
+    return rows
 
 
 def _as_bounds(x, name):
@@ -127,7 +143,7 @@ class SetDescriptor:
 
     def support(self, y, cone_tol=CONE_MEMBERSHIP_TOL):
         """Support function value at ``y``; may be +inf."""
-        return self._support(self._check_dim(y), cone_tol)
+        return float(self._support(self._check_dim(y), cone_tol))
 
     def project_recession(self, d):
         """Projection of ``d`` onto the recession cone of the set."""
@@ -172,9 +188,11 @@ class Box(SetDescriptor):
         self.lower = lower
         self.upper = upper
         self.dim = lower.shape[0]
-        self._bound_pairs = list(zip(lower.tolist(), upper.tolist()))
-        self._rec_lower = np.where(np.isinf(lower), -np.inf, 0.0)
-        self._rec_upper = np.where(np.isinf(upper), np.inf, 0.0)
+        self._lower_inf, self._upper_inf = np.isinf(lower), np.isinf(upper)
+        self._lower_finite = np.where(self._lower_inf, 0.0, lower)
+        self._upper_finite = np.where(self._upper_inf, 0.0, upper)
+        self._rec_lower = np.where(self._lower_inf, -np.inf, 0.0)
+        self._rec_upper = np.where(self._upper_inf, np.inf, 0.0)
 
     project = SetDescriptor.project  # perfbench's tests read Box.__dict__
 
@@ -182,19 +200,19 @@ class Box(SetDescriptor):
         return np.clip(v, self.lower, self.upper)
 
     def _support(self, y, cone_tol):
-        total = 0.0
-        for (li, ui), yi in zip(self._bound_pairs, y.tolist()):
-            if yi > 0.0:
-                if math.isinf(ui):
-                    return math.inf
-                total += ui * yi
-            elif yi < 0.0:
-                if math.isinf(li):
-                    return math.inf
-                total += li * yi
-            # yi == 0 contributes 0 even against infinite bounds
-        return total
+        up = y > 0.0
+        unbounded = np.where(up, self._upper_inf, (y < 0.0) & self._lower_inf)
+        # sums in order from +0.0, bitwise a loop of ``total += term``; the
+        # +-0.0 term of a zero y_i (even at an infinite bound) leaves a sum
+        # that never reaches -0.0 unchanged
+        terms = np.where(up, self._upper_finite, self._lower_finite) * y
+        sums = np.add.accumulate(np.concatenate(
+            (np.zeros(y.shape[:-1] + (1,)), terms), axis=-1), axis=-1)
+        return np.where(unbounded.any(axis=-1), np.inf, sums[..., -1])
 
+    # per row: np.clip keeps a -0.0 when a stack of one column takes
+    # numpy's loop for constant bounds, where a vector's loop gives 0.0
+    @_per_row
     def _recession(self, d):
         return np.clip(d, self._rec_lower, self._rec_upper)
 
@@ -220,13 +238,15 @@ class _Cone(SetDescriptor):
         return self._project(d)
 
     def _polar_distance(self, y):
-        return inf_norm(self._project(y))
+        return inf_norms(self._recession(y))
 
     def _in_polar(self, y, cone_tol):
-        return self._polar_distance(y) <= cone_tol * max(1.0, inf_norm(y))
+        with np.errstate(over="ignore"):  # silent like a float product
+            bound = cone_tol * np.maximum(1.0, inf_norms(y))
+        return self._polar_distance(y) <= bound
 
     def _support(self, y, cone_tol):
-        return 0.0 if self._in_polar(y, cone_tol) else math.inf
+        return np.where(self._in_polar(y, cone_tol), 0.0, np.inf)
 
 
 class NonnegativeOrthant(_Cone):
@@ -243,7 +263,7 @@ class Zero(_Cone):
     """The singleton cone ``{0}``."""
 
     def _project(self, v):
-        return np.zeros(self.dim)
+        return np.zeros(v.shape)
 
     def _jacobian(self, v):
         return ProjectionJacobian(np.zeros(self.dim))
@@ -271,6 +291,7 @@ class Halfspace(SetDescriptor):
     def _project(self, v):
         return self._cut(v, float(self.normal @ v) - self.offset)
 
+    @_per_row
     def _support(self, y, cone_tol):
         # finite only for y = t * normal with t >= 0, then equals offset * t
         ny = _norm(y)
@@ -284,6 +305,7 @@ class Halfspace(SetDescriptor):
             return self.offset * max(t, 0.0)
         return math.inf
 
+    @_per_row
     def _recession(self, d):
         # recession cone is the homogeneous halfspace {d : <normal, d> <= 0}
         return self._cut(d, float(self.normal @ d))
@@ -314,11 +336,12 @@ class Ball(SetDescriptor):
             return v.copy()
         return self.center + (self.radius / rho) * diff
 
+    @_per_row
     def _support(self, y, cone_tol):
         return float(self.center @ y) + self.radius * _norm(y)
 
     def _recession(self, d):
-        return np.zeros(self.dim)
+        return np.zeros(d.shape)
 
     def _jacobian(self, v):
         diff = v - self.center
@@ -352,10 +375,13 @@ class SecondOrderCone(_Cone):
         out[1:] = (scale / rho) * x
         return out
 
+    # the projection of a stack, as the recession cone's, row by row
+    _recession = _per_row(_project)
+
     def _polar_distance(self, y):
         # y minus its projection -proj_K(-y) onto the polar cone -K; the
         # Moreau form differs from it by rounding, so the bits stay these
-        return inf_norm(y + self._project(-y))
+        return inf_norms(y + self._recession(-y))
 
     def _jacobian(self, v):
         t, x = v[0], v[1:]
@@ -393,12 +419,15 @@ class TranslatedCone(SetDescriptor):
         return self.offset + self.cone._project(v - self.offset)
 
     def _support(self, y, cone_tol):
-        if self.cone._in_polar(y, cone_tol):
-            return float(self.offset @ y)
-        return math.inf
+        inside = self.cone._in_polar(y, cone_tol)
+        values = np.full(inside.shape, np.inf)
+        for i in np.ndindex(inside.shape):  # a 1-d dot per row in the polar
+            if inside[i]:
+                values[i] = self.offset @ y[i]
+        return values
 
     def _recession(self, d):
-        return self.cone._project(d)
+        return self.cone._recession(d)
 
     def _jacobian(self, v):
         return self.cone._jacobian(v - self.offset)
@@ -440,18 +469,20 @@ class Cartesian(SetDescriptor):
         return out
 
     def _support(self, y, cone_tol):
-        total = 0.0
+        # the parts' sum in order, or +inf once any part is infinite
+        total, unbounded = 0.0, False
         for part, sl in self._slices:
-            val = part._support(y[sl], cone_tol)
-            if math.isinf(val):
-                return math.inf
-            total += val
-        return total
+            value = part._support(y[..., sl], cone_tol)
+            unbounded = unbounded | np.isinf(value)
+            if unbounded.all():
+                break
+            total = total + value
+        return np.where(unbounded, np.inf, total)
 
     def _recession(self, d):
-        out = np.empty(self.dim)
+        out = np.empty(d.shape)
         for part, sl in self._slices:
-            out[sl] = part._recession(d[sl])
+            out[..., sl] = part._recession(d[..., sl])
         return out
 
     def _jacobian(self, v):

@@ -304,6 +304,27 @@ def test_non_finite_problem_number_is_named(tmp_path, capsys, literal, problem,
     assert capsys.readouterr().err == f"error: {where}: value must be finite\n"
 
 
+@pytest.mark.parametrize("member,value,message", [
+    ("n", 10 ** 7, "q: expected 10000000 entries, got 1"),
+    ("m", 10 ** 7, "set: dimension 3 does not match m = 10000000"),
+])
+def test_huge_declared_size_is_named_before_allocation(
+        tmp_path, capsys, monkeypatch, member, value, message):
+    # a dense Q or A of 10^7 rows would not fit in memory
+    obj = fileio.problem_to_obj(ProblemData(
+        Q=np.eye(1), q=[1.0], A=np.ones((3, 1)), C=NonnegativeOrthant(3)))
+    obj[member] = value
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was allocated")
+
+    monkeypatch.setattr(fileio, "_matrix_from_triplets", no_matrix)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("literal", NON_FINITE_LITERALS,
                          ids=["huge_int", "1e400"])
 def test_non_finite_candidate_number_is_named(tmp_path, capsys, literal):

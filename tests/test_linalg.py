@@ -4,8 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from splitqp.linalg import (NotPositiveDefiniteError, SpdFactor, as_vector,
-                            inf_norm, spd_factor, spectral_norm_est,
-                            symmetrize)
+                            inf_norm, inf_norms, matvecs, spd_factor,
+                            spectral_norm_est, symmetrize)
 
 
 def test_as_vector_rejects_nonfinite():
@@ -166,6 +166,23 @@ def test_adjoint_consistency(seed):
     lhs = float((M @ x) @ y)
     rhs = float(x @ (M.T @ y))
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_stacked_rows_match_vectors_bitwise(seed):
+    # the trace's products and norms of a block, against one state's
+    rng = np.random.default_rng(seed)
+    m, n, k = rng.integers(1, 40, size=3)
+    M = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-5, 6)
+    for A, V in ((M, rng.normal(size=(k, n))), (M.T, rng.normal(size=(k, m)))):
+        V[rng.uniform(size=V.shape) < 0.1] = -0.0
+        products = matvecs(A, V)
+        norms = inf_norms(V)
+        for row, product, norm in zip(V, products, norms):
+            assert product.tobytes() == (A @ row.copy()).tobytes()
+            assert repr(float(norm)) == repr(inf_norm(row))
+        assert matvecs(A, V[0]).tobytes() == (A @ V[0]).tobytes()
 
 
 def test_spectral_norm_estimate():

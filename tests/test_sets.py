@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitqp import sets
 from splitqp.linalg import inf_norm
@@ -610,3 +611,83 @@ def test_singleton_kernels_match_old_forms():
             assert _bits(S._recession(w)) == _bits(np.zeros(dim))
             assert (_bits(S._jacobian(w))
                     == _bits(ProjectionJacobian(np.zeros(dim))))
+
+
+# ------------------------------------------------------------ stacked rows
+# The trace evaluates _support and _recession once on a (k, dim) stack;
+# each row must be bitwise what the kernel gives that row alone.
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308]
+_entries = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e3, 1e3),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _vec(draw, dim):
+    return np.array(draw(st.lists(_entries, min_size=dim, max_size=dim)))
+
+
+@st.composite
+def _stacked_set(draw, kind, dim):
+    if kind == "box":
+        lower = _vec(draw, dim)
+        upper = lower + np.abs(_vec(draw, dim))
+        lower[draw(st.lists(st.booleans(), min_size=dim, max_size=dim))] = -inf
+        upper[draw(st.lists(st.booleans(), min_size=dim, max_size=dim))] = inf
+        return Box(lower, upper)
+    if kind == "orthant":
+        return NonnegativeOrthant(dim)
+    if kind == "zero":
+        return Zero(dim)
+    if kind == "soc":
+        return SecondOrderCone(dim)
+    if kind == "ball":
+        return Ball(_vec(draw, dim), draw(st.floats(0.0, 1e3)))
+    if kind == "halfspace":
+        normal = _vec(draw, dim)
+        normal[0] = draw(st.sampled_from([1.0, -2.5, 1e-3]))
+        return Halfspace(normal, draw(st.floats(-1e3, 1e3)))
+    if kind == "translated_cone":
+        cone = draw(st.sampled_from([NonnegativeOrthant, Zero,
+                                     SecondOrderCone]))(dim)
+        return TranslatedCone(_vec(draw, dim), cone)
+    if kind == "singleton":
+        return Singleton(_vec(draw, dim))
+    kinds = [k for k in ALL_KINDS if k != "cartesian"]
+    return Cartesian([draw(_stacked_set(draw(st.sampled_from(kinds)),
+                                        draw(st.integers(1, 3))))
+                      for _ in range(draw(st.integers(1, 3)))])
+
+
+def _stacked_rows(draw, S):
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = _vec(draw, S.dim)
+        if draw(st.booleans()):  # zeros against any infinite box bound
+            row[draw(st.lists(st.booleans(), min_size=S.dim,
+                              max_size=S.dim))] = draw(st.sampled_from(
+                                  [0.0, -0.0]))
+        rows.append(row)
+    if S.dim > 1:  # on the boundary of a cone over the tail, and at its origin
+        tail = _vec(draw, S.dim - 1)
+        rows += [np.concatenate([[sets._norm(tail)], tail]),
+                 np.concatenate([[-sets._norm(tail)], tail]),
+                 np.zeros(S.dim), np.full(S.dim, -0.0)]
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(ALL_KINDS), st.integers(1, 4),
+       st.sampled_from([1e-12, 1e-6, 1.0]))
+def test_stacked_kernels_match_the_vector_kernels(data, kind, dim, cone_tol):
+    with np.errstate(all="ignore"):  # entries near 1e308 overflow
+        S = data.draw(_stacked_set(kind, dim))
+        Y = _stacked_rows(data.draw, S)
+        support = S._support(Y, cone_tol)
+        recession = S._recession(Y)
+        assert support.shape == Y.shape[:1] and recession.shape == Y.shape
+        for y, value, rec in zip(Y, support, recession):
+            assert repr(float(value)) == repr(float(S._support(y, cone_tol)))
+            assert repr(rec.tolist()) == repr(S._recession(y).tolist())
+            if isinstance(S, Box):
+                assert (repr(float(S._support(y, cone_tol)))
+                        == repr(float(_old_box_support(S, y))))
