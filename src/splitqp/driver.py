@@ -49,9 +49,7 @@ class SolverState:
     ``dx = x_n - x_{n-1}`` and ``dy = y_n - y_{n-1}`` (zero at ``n = 0``)
     are the only differences kept: their limits are the dual and primal
     certificates. ``inner_iters`` counts the inner iterations of the
-    step that produced this state (PP only; None for DR). The block
-    ``trace_record`` evaluates is one state of stacked rows, without
-    ``n``, ``v`` or ``inner_iters``.
+    step that produced this state (PP only; None for DR).
     """
 
     n: int
@@ -150,6 +148,16 @@ def terminate(solver, state, check_primal, check_dual):
     return None
 
 
+class _Block(list):
+    """Consecutive states. Reading a field stacks it into rows once, so
+    PP's residuals, which read only ``dx`` and ``dy``, stack only those."""
+
+    def __getattr__(self, field):
+        rows = self.__dict__[field] = np.array(
+            [getattr(s, field) for s in self])
+        return rows
+
+
 def trace_record(solver, states):
     """Trace rows of consecutive states: the stopping residuals and the
     certificate quantities.
@@ -160,9 +168,7 @@ def trace_record(solver, states):
     public set methods do, when a ``dy`` or ``A dx`` is not finite.
     """
     P, cfg = solver.problem, solver.config
-    block = SolverState(n=None, v=None, **{
-        f: np.array([getattr(s, f) for s in states])
-        for f in ("x", "y", "z", "dx", "dy")})
+    block = _Block(states)
     Adx = matvecs(P.A, block.dx)
     if not (np.isfinite(block.dy).all() and np.isfinite(Adx).all()):
         raise ValueError("vector has non-finite entries")

@@ -5,17 +5,33 @@ ndarrays; the helpers here add the validation both solvers rely on
 (finite entries, matching dimensions) plus a factor-once SPD solve,
 which forms the inverse once so that every solve is one matrix-vector
 product. Everything is desk-scale dense; there is no sparse path.
+
+``potrf``, ``potrs`` and ``potri`` are scipy's compiled routines, loaded
+from ``scipy.linalg._flapack`` without importing ``scipy.linalg``, which
+is most of a CLI call's start-up. PP calls them through ``scipy_seam``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+import types
+
 import numpy as np
-import scipy.linalg
+import scipy
 
 SYMMETRY_ATOL = 1e-12
 
+_SPEC = importlib.machinery.PathFinder.find_spec(
+    "scipy.linalg._flapack", [f"{path}/linalg" for path in scipy.__path__])
+_flapack = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_flapack)
+if "scipy.linalg" not in sys.modules:  # its import then registers its own
+    sys.modules.pop(_SPEC.name, None)
 
-class NotPositiveDefiniteError(ValueError):
+
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Raised when an SPD factorization meets a non-positive pivot."""
 
 
@@ -81,6 +97,35 @@ def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
+def cho_factor(a, lower=True, check_finite=False):
+    """``(c, lower)`` from ``potrf``, with no finiteness scan whatever
+    ``check_finite`` says. A non-positive pivot raises
+    NotPositiveDefiniteError, a numpy LinAlgError and a ValueError."""
+    c, info = _flapack.dpotrf(a, lower=lower, clean=False)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite (pivot {info} is not positive)")
+    if info < 0:
+        raise ValueError(f"potrf failed with info {info}")
+    return c, lower
+
+
+def cho_solve(c_and_lower, b, check_finite=False):
+    """``potrs`` on a ``cho_factor`` result, with no finiteness scan; a
+    mismatched ``b`` raises ValueError."""
+    c, lower = c_and_lower
+    x, info = _flapack.dpotrs(c, b, lower=lower)
+    if info:
+        raise ValueError(f"potrs failed with info {info}")
+    return x
+
+
+# ``pp.scipy``, kept only so that perfbench's tracer and tests/test_newton.py
+# can swap in scipy's own cho_*; ROADMAP item 5 step 2 deletes it
+scipy_seam = types.SimpleNamespace(linalg=types.SimpleNamespace(
+    cho_factor=cho_factor, cho_solve=cho_solve))
+
+
 class SpdFactor:
     """Exact inverse of a symmetric positive-definite matrix, from its
     Cholesky factor.
@@ -101,8 +146,7 @@ class SpdFactor:
         if n == 0:  # potri rejects empty operands
             self._inverse = np.zeros((0, 0))
             return
-        potri, = scipy.linalg.get_lapack_funcs(("potri",), (c,))
-        inv, info = potri(c, lower=True)
+        inv, info = _flapack.dpotri(c, lower=True)
         if info != 0:
             raise ValueError(f"potri failed with info {info}")
         # potri fills the lower triangle; copy it onto the upper one
@@ -118,20 +162,16 @@ def spd_factor(M):
     solves.
 
     The input must be symmetric within ``SYMMETRY_ATOL`` per entry; it is
-    symmetrized before factoring. Raises NotPositiveDefiniteError when a
-    pivot is not positive.
+    symmetrized, and must stay finite, before factoring. Raises
+    NotPositiveDefiniteError when a pivot is not positive.
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if inf_norm(M - M.T) > SYMMETRY_ATOL:
         raise ValueError(f"matrix is not symmetric within tolerance {SYMMETRY_ATOL:g}")
-    try:
-        cho = scipy.linalg.cho_factor(symmetrize(M), lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: {exc}") from exc
-    return SpdFactor(cho)
+    return SpdFactor(
+        cho_factor(as_matrix(symmetrize(M), name="symmetrized matrix")))
 
 
 def spectral_norm_est(M, iters=100, tol=1e-12):

@@ -73,11 +73,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import driver
 from .driver import SolverState
 from .linalg import inf_norm, inf_norms, require_positive
+from .linalg import scipy_seam as scipy
 from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
 
@@ -211,9 +211,8 @@ class PpSolver:
         for its step only, so the cached factor survives it.
         """
         key = jac.pattern_key()  # None on a curved boundary
-        # J comes from validated data, the set methods reject a non-finite
-        # u and a NaN Fx ends the loop before this solve, so scipy's
-        # finiteness scans are skipped
+        # no finiteness scan: J comes from validated data, the set methods
+        # reject a non-finite u and a NaN Fx ends the loop before this solve
         if key is None:  # no pattern to reuse: leave the cache in place
             factor = scipy.linalg.cho_factor(self.newton_matrix(jac),
                                              lower=True, check_finite=False)

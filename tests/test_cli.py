@@ -596,11 +596,15 @@ def test_inner_breakdown_is_not_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("solver", ["dr", "pp"])
-def test_overflow_is_a_breakdown(tmp_path, capsys, solver):
+@pytest.mark.parametrize("solver,a", [("dr", 1e200), ("pp", 1e200),
+                                      ("dr", 1e154)],
+                         ids=["dr", "pp", "dr-symmetrized"])
+def test_overflow_is_a_breakdown(tmp_path, capsys, solver, a):
     # finite, valid data whose A'A overflows: DR's subproblem matrix and
-    # PP's Newton residual turn non-finite once the solver starts
-    P = ProblemData(Q=np.zeros((1, 1)), q=[1.0], A=[[1e200]],
+    # PP's Newton residual turn non-finite once the solver starts. At
+    # 1e154, A'A + I is finite and only its symmetrization overflows; PP
+    # never symmetrizes, and breaks down in its inner solve instead
+    P = ProblemData(Q=np.zeros((1, 1)), q=[1.0], A=[[a]],
                     C=Box([-1.0], [1.0]))
     path = tmp_path / "p.json"
     fileio.save_problem(path, P)

@@ -1,11 +1,16 @@
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from splitqp import linalg
 from splitqp.linalg import (NotPositiveDefiniteError, SpdFactor, as_vector,
-                            inf_norm, inf_norms, matvecs, spd_factor,
-                            spectral_norm_est, symmetrize)
+                            inf_norm, inf_norms, matvecs, scipy_seam,
+                            spd_factor, spectral_norm_est, symmetrize)
 
 
 def test_as_vector_rejects_nonfinite():
@@ -193,3 +198,96 @@ def test_spectral_norm_estimate():
         true = np.linalg.norm(M, 2)
         assert abs(est - true) <= 1e-6 * true
     assert spectral_norm_est(np.zeros((3, 2))) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_spd_factor_rejects_a_symmetrization_that_overflows():
+    # M is finite and symmetric, but M + M.T is not
+    with pytest.raises(ValueError, match=r"^symmetrized matrix has non-finite"):
+        spd_factor([[1e308, 0.0], [0.0, 1.0]])
+
+
+def test_lapack_routines_are_scipys_compiled_ones():
+    assert linalg._flapack.__name__ == "scipy.linalg._flapack"
+    for name in ("dpotrf", "dpotrs", "dpotri"):
+        assert getattr(linalg._flapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 300])
+def test_seam_is_bitwise_scipys_cho_factor_and_cho_solve(n):
+    rng = np.random.default_rng(500 + n)
+    G = rng.normal(size=(n, n))
+    M = G.T @ G + np.eye(n)
+    M_in = M.copy()
+    ours = scipy_seam.linalg.cho_factor(M, lower=True, check_finite=False)
+    ref = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    assert ours[1] is ref[1] is True
+    assert np.array_equal(ours[0], ref[0])
+    assert np.array_equal(M, M_in)  # no overwrite
+    for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        b_in = b.copy()
+        x = scipy_seam.linalg.cho_solve(ours, b, check_finite=False)
+        assert x.shape == b.shape
+        assert np.array_equal(x, scipy.linalg.cho_solve(ref, b,
+                                                        check_finite=False))
+        assert np.array_equal(b, b_in)
+
+
+def test_seam_errors():
+    seam = scipy_seam.linalg
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        seam.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), lower=True,
+                        check_finite=False)
+    factor = seam.cho_factor(np.eye(3), lower=True, check_finite=False)
+    for b in (np.ones(2), np.ones((4, 2))):
+        with pytest.raises(ValueError):
+            seam.cho_solve(factor, b, check_finite=False)
+    c, lower = seam.cho_factor(np.zeros((0, 0)))
+    assert c.shape == (0, 0) and lower
+
+
+def test_seam_reports_an_illegal_argument_as_a_value_error(monkeypatch):
+    # potrf and potrs give info < 0 for an illegal argument
+    monkeypatch.setattr(linalg, "_flapack", types.SimpleNamespace(
+        dpotrf=lambda a, **kw: (a, -1), dpotrs=lambda c, b, **kw: (b, -2)))
+    with pytest.raises(ValueError, match="potrf failed with info -1") as exc:
+        linalg.cho_factor(np.eye(2))
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+    with pytest.raises(ValueError, match="potrs failed with info -2"):
+        linalg.cho_solve((np.eye(2), True), np.ones(2))
+
+
+def _fresh_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("module", ["splitqp", "splitqp.cli"])
+def test_import_leaves_scipy_linalg_out(module):
+    out = _fresh_python(
+        f"import sys, {module}; "
+        "print([m for m in ('scipy.linalg', 'numpy.f2py') if m in sys.modules])")
+    assert out == "[]\n"
+
+
+SOLVE = """
+import hashlib, sys
+import numpy as np
+from splitqp import dr_run, generate, pp_run
+problem = generate("feasible", 7, 120, 180, "box").problem
+h = hashlib.sha256()
+for run in (dr_run, pp_run):
+    r = run(problem)
+    for a in (r.x, r.y, r.z, r.iterations):
+        h.update(np.asarray(a).tobytes())
+print(h.hexdigest(), "scipy.linalg" in sys.modules)
+"""
+
+
+def test_solve_bits_do_not_depend_on_scipy_linalg_import_order():
+    # n = 120 takes PP through its Woodbury corrections as well
+    before = _fresh_python("import scipy.linalg" + SOLVE).split()
+    after = _fresh_python("import splitqp, scipy.linalg" + SOLVE).split()
+    alone = _fresh_python(SOLVE).split()
+    assert before[0] == after[0] == alone[0]
+    assert (before[1], after[1], alone[1]) == ("True", "True", "False")
