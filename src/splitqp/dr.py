@@ -53,6 +53,19 @@ class DrConfig:
         driver.validate_loop_config(self)
 
 
+class _DrState(SolverState):
+    """A stepped state that forms ``y = v - z``, ``dx`` and ``dy`` on first
+    read from the previous state's arrays, never keeping that state."""
+
+    def __getattr__(self, name):
+        if name not in ("y", "dx", "dy"):
+            raise AttributeError(name)
+        x0, y0, v0, z0 = self.__dict__.pop("_prev")
+        self.y, self.dx = self.v - self.z, self.x - x0
+        self.dy = self.y - (v0 - z0 if y0 is None else y0)
+        return self.__dict__[name]
+
+
 class DrSolver:
     """Owns the factored subproblem matrix; every state has ``z + y == v``."""
 
@@ -79,25 +92,24 @@ class DrSolver:
         xt = self._factor.solve(rhs)
         x_next = state.x + alpha * (xt - state.x)
         v_next = state.v + alpha * (P.A @ xt - state.z)
-        z_next = P.C.project(v_next)
-        y_next = v_next - z_next
-        return SolverState(
-            n=state.n + 1, x=x_next, v=v_next, z=z_next, y=y_next,
-            dx=x_next - state.x, dy=y_next - state.y)
+        state_next = _DrState.__new__(_DrState)  # without dataclass init
+        state_next.__dict__.update(
+            n=state.n + 1, x=x_next, v=v_next, z=P.C.project(v_next),
+            _prev=(state.x, state.__dict__.get("y"), state.v, state.z))
+        return state_next
 
     def stopping_residuals(self, state: SolverState, products=None):
         """Residual norms evaluated directly at the current iterate.
 
         ``products`` passes ``(A x, Q x, A.T y)`` when they are known. A
-        state of stacked rows gives a list per residual.
+        state of stacked rows gives an array per residual.
         """
         P = self.problem
         if products is None:
             products = (matvecs(P.A, state.x), matvecs(P.Q, state.x),
                         matvecs(P.A.T, state.y))
         Ax, Qx, Aty = products
-        return (inf_norms(Ax - state.z).tolist(),
-                inf_norms(Qx + P.q + Aty).tolist())
+        return inf_norms(Ax - state.z), inf_norms(Qx + P.q + Aty)
 
     def check_termination(self, state: SolverState):
         """The driver's tests, with this module's certificate checkers."""

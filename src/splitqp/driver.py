@@ -4,9 +4,14 @@ A solver supplies ``problem``, ``config``, ``initial_state``, ``step``,
 ``check_termination`` and ``stopping_residuals(state, products=None)``,
 the one formula for the residual norms its optimality test, trace and
 ``max_iterations`` outcome report (``products`` passes
-``(A x, Q x, A.T y)`` when the caller has them). Config validation, the
-state, warm starts, the termination and certificate tests, the trace
-record and the run loop live here once.
+``(A x, Q x, A.T y)`` when the caller has them; one state gives floats).
+Config validation, the state, warm starts, the termination and
+certificate tests, the trace record and the run loop live here once.
+
+A candidate reaches its public checker, and so the support or recession
+distance, only after passing the checker's cheap test
+(``problem.primal_screen``/``dual_screen``). A DR state forms ``y``,
+``dx`` and ``dy`` on first read, which an untraced run does at checks.
 
 A traced run records its rows a block of states at a time:
 ``trace_record`` stacks the block into one state of ``(k, .)`` rows and
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import outcome as oc
 from .linalg import as_vector, inf_norm, inf_norms, matvecs, require_positive
-from .problem import Certificate
+from .problem import Certificate, dual_screen, primal_screen
 
 TRACE_BLOCK = 25  # states per trace_record call in a traced run
 
@@ -83,9 +88,11 @@ def _outcome(state, status, residuals, **kwargs):
         residuals=residuals, **kwargs)
 
 
-def _certificate(problem, kind, vector, check, eps):
-    """Certificate from ``vector`` if it is nonzero and passes ``check``."""
-    if inf_norm(vector) > 0.0:
+def _certificate(problem, kind, vector, screen, check, eps):
+    """Certificate from ``vector`` if it is nonzero and passes ``check``,
+    which runs only if ``screen`` passes or ``vector`` is not finite."""
+    norm = inf_norm(vector)
+    if norm > 0.0 and (norm == np.inf or screen(problem, vector, eps, norm)[0]):
         ok, metrics = check(problem, vector, eps)
         if ok:
             return Certificate(kind=kind, vector=vector.copy(),
@@ -104,7 +111,8 @@ def _polished_dual_certificate(problem, dx, check, eps):
     lam, V = np.linalg.eigh(problem.Q)
     N = V[:, lam <= 1e-9 * max(lam[-1], 0.0)]
     xbar = N @ (N.T @ dx)
-    cert = _certificate(problem, "dual_infeasibility", xbar, check, eps)
+    cert = _certificate(problem, "dual_infeasibility", xbar, dual_screen,
+                        check, eps)
     if cert is not None:
         cos = float(dx @ xbar) / (np.linalg.norm(dx) * np.linalg.norm(xbar))
         cert.metrics.update(polished=1.0,
@@ -126,14 +134,13 @@ def terminate(solver, state, check_primal, check_dual):
     Aty = P.A.T @ state.y
     prim, dual = solver.stopping_residuals(state, (Ax, Qx, Aty))
     eps_prim = cfg.eps_abs + cfg.eps_rel * max(inf_norm(Ax), inf_norm(state.z))
-    eps_dual = cfg.eps_abs + cfg.eps_rel * max(
-        inf_norm(Qx), inf_norm(P.q), inf_norm(Aty))
-    if prim <= eps_prim and dual <= eps_dual:
+    if prim <= eps_prim and dual <= cfg.eps_abs + cfg.eps_rel * max(
+            inf_norm(Qx), inf_norm(P.q), inf_norm(Aty)):
         return _outcome(state, oc.SOLVED, (prim, dual))
     primal_cert = _certificate(P, "primal_infeasibility", state.dy,
-                               check_primal, cfg.eps_pinf)
+                               primal_screen, check_primal, cfg.eps_pinf)
     dual_cert = _certificate(P, "dual_infeasibility", state.dx,
-                             check_dual, cfg.eps_dinf)
+                             dual_screen, check_dual, cfg.eps_dinf)
     if primal_cert is None and dual_cert is None and state.n >= cfg.max_iter:
         dual_cert = _polished_dual_certificate(P, state.dx, check_dual,
                                                cfg.eps_dinf)
@@ -173,7 +180,7 @@ def trace_record(solver, states):
     if not (np.isfinite(block.dy).all() and np.isfinite(Adx).all()):
         raise ValueError("vector has non-finite entries")
     columns = (  # in TraceRecord's field order
-        *solver.stopping_residuals(block),
+        *(r.tolist() for r in solver.stopping_residuals(block)),
         *(inf_norms(B).tolist() for B in (
             block.dx, block.dy, matvecs(P.A.T, block.dy))),
         P.C._support(block.dy, cfg.eps_pinf).tolist(),

@@ -6,6 +6,10 @@ ndarrays; the helpers here add the validation both solvers rely on
 which forms the inverse once so that every solve is one matrix-vector
 product. Everything is desk-scale dense; there is no sparse path.
 
+``as_vector`` returns a float64 ndarray of rank one and the right length
+at once when ``np.vdot(x, x)`` (it never warns) is finite; anything else
+takes the full path, which decides the result and message as before.
+
 ``potrf``, ``potrs`` and ``potri`` are scipy's compiled routines, loaded
 from ``scipy.linalg._flapack`` without importing ``scipy.linalg``, which
 is most of a CLI call's start-up. PP calls them through ``scipy_seam``.
@@ -41,6 +45,9 @@ def as_vector(x, dim=None, name="vector"):
     Raises ValueError on non-finite entries, wrong rank, or (when ``dim``
     is given) wrong length.
     """
+    if (type(x) is np.ndarray and x.dtype == float and x.ndim == 1 and
+            (dim is None or x.shape[0] == dim) and np.vdot(x, x) < np.inf):
+        return x
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
@@ -75,9 +82,11 @@ def inf_norm(v):
 
 
 def inf_norms(v):
-    """Max-abs norm along the last axis: a scalar for a vector, an array
-    for the rows of a stack. Each is exact, so a row's is bitwise its
-    ``inf_norm``."""
+    """Max-abs norm along the last axis: ``inf_norm`` for a vector, an
+    array for the rows of a stack. Each is exact, so a row's is bitwise
+    its ``inf_norm``."""
+    if v.ndim == 1:
+        return inf_norm(v)
     return np.abs(v).max(axis=-1, initial=0.0)
 
 

@@ -365,10 +365,9 @@ class PpSolver:
 
     def stopping_residuals(self, state: SolverState, products=None):
         """Residual norms from the scaled differences; ``products`` is
-        unused. A state of stacked rows gives a list per residual."""
+        unused. A state of stacked rows gives an array per residual."""
         g = self.config.gamma
-        return ((inf_norms(state.dy) / g).tolist(),
-                (inf_norms(state.dx) / g).tolist())
+        return inf_norms(state.dy) / g, inf_norms(state.dx) / g
 
     def check_termination(self, state: SolverState):
         """The driver's tests, with this module's certificate checkers."""

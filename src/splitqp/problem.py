@@ -17,6 +17,10 @@ except for one test: every threshold is ``eps`` times the inf-norm of
 the candidate, but polar-cone membership inside ``support_C`` is tested
 against ``eps * max(1, ||ybar||_inf)``, absolute below
 ``||ybar||_inf = 1`` (ROADMAP item 1 makes it relative).
+
+The solvers call a checker only for a candidate that passes its cheap
+tests, ``primal_screen`` (``||A.T ybar||_inf``) or ``dual_screen``
+(``||Q xbar||_inf``, ``<q, xbar>``); the checker reports every metric.
 """
 
 from __future__ import annotations
@@ -113,11 +117,10 @@ def check_primal_certificate(problem, ybar, eps):
     norm_y = inf_norm(ybar)
     if norm_y == 0.0:
         raise ValueError("certificate must be nonzero")
-    norm_At_y = inf_norm(problem.A.T @ ybar)
+    passed, norm_At_y = primal_screen(problem, ybar, eps, norm_y)
     support = problem.C.support(ybar, cone_tol=eps)
     metrics = {"norm_At_y": norm_At_y, "support": support}
-    ok = norm_At_y <= eps * norm_y and support <= -eps * norm_y
-    return ok, metrics
+    return passed and support <= -eps * norm_y, metrics
 
 
 def check_dual_certificate(problem, xbar, eps):
@@ -131,12 +134,22 @@ def check_dual_certificate(problem, xbar, eps):
     norm_x = inf_norm(xbar)
     if norm_x == 0.0:
         raise ValueError("certificate must be nonzero")
-    norm_Q_x = inf_norm(problem.Q @ xbar)
+    passed, norm_Q_x, q_dot_x = dual_screen(problem, xbar, eps, norm_x)
     dist_rec = problem.C.distance_to_recession(problem.A @ xbar)
-    q_dot_x = float(problem.q @ xbar)
     metrics = {"norm_Q_x": norm_Q_x, "dist_rec": dist_rec, "q_dot_x": q_dot_x}
-    ok = (norm_Q_x <= eps * norm_x
-          and dist_rec <= eps * norm_x
-          and q_dot_x <= -eps * norm_x)
-    return ok, metrics
+    return passed and dist_rec <= eps * norm_x, metrics
+
+
+def primal_screen(problem, ybar, eps, norm_y):
+    """``(passed, ||A.T ybar||_inf)``, the primal checker's cheap test."""
+    norm_At_y = inf_norm(problem.A.T @ ybar)
+    return norm_At_y <= eps * norm_y, norm_At_y
+
+
+def dual_screen(problem, xbar, eps, norm_x):
+    """``(passed, norm_Q_x, q_dot_x)``, the dual checker's cheap tests."""
+    norm_Q_x = inf_norm(problem.Q @ xbar)
+    q_dot_x = float(problem.q @ xbar)
+    return (norm_Q_x <= eps * norm_x and q_dot_x <= -eps * norm_x,
+            norm_Q_x, q_dot_x)
 

@@ -197,7 +197,7 @@ class Box(SetDescriptor):
     project = SetDescriptor.project  # perfbench's tests read Box.__dict__
 
     def _project(self, v):
-        return np.clip(v, self.lower, self.upper)
+        return np.minimum(np.maximum(v, self.lower), self.upper)
 
     def _support(self, y, cone_tol):
         up = y > 0.0

@@ -1,9 +1,13 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from splitqp.dr import DrConfig, DrSolver, dr_run
-from splitqp.driver import iterate
+from splitqp.driver import SolverState, iterate
 from splitqp.instances import (gen_dual_infeasible, gen_feasible,
                                gen_primal_infeasible, generate)
 from splitqp.linalg import inf_norm, symmetrize
@@ -290,3 +294,27 @@ def test_outcome_matches_cho_solve_under_column_scaling(kind, family, k):
     ref._factor.solve = lambda b: scipy.linalg.cho_solve(cho, b)
     got, want = DrSolver(P, cfg).run(), ref.run()
     assert (got.status, got.iterations) == (want.status, want.iterations)
+
+
+def test_stepped_state_forms_its_differences_on_read_and_drops_its_parent():
+    P = generate("primal_infeasible", 12, 6, 9, "box_soc").problem
+    solver = DrSolver(P)
+    first = solver.step(solver.initial_state())
+    parent_y = first.y.copy()
+    second = solver.step(first)
+    parent = weakref.ref(first)
+    del first
+    gc.collect()
+    assert parent() is None  # no chain of states
+    assert isinstance(second, SolverState) and second.inner_iters is None
+    assert not {"y", "dx", "dy"} & set(vars(second))  # nothing formed yet
+    y = second.v - second.z
+    assert second.y.tobytes() == y.tobytes()
+    assert second.dy.tobytes() == (y - parent_y).tobytes()
+    assert second.dx.tobytes() == (second.x - solver.step(
+        solver.initial_state()).x).tobytes()
+    copy = dataclasses.replace(second)
+    assert all(getattr(copy, f.name) is getattr(second, f.name)
+               for f in dataclasses.fields(SolverState))
+    with pytest.raises(AttributeError):
+        second.residuals

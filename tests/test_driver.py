@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from splitqp import driver
 from splitqp import outcome as oc
 from splitqp.dr import DrConfig, DrSolver
 from splitqp.driver import TRACE_BLOCK, SolverState, iterate
@@ -394,3 +395,67 @@ def test_warm_start_values_are_checked(solver_cls, dual_name, bad):
     with pytest.raises(ValueError,
                        match=f"^warm start {dual_name} has non-finite"):
         solver_cls(P).run(warm=(np.zeros(3), w))
+
+
+@pytest.mark.parametrize("kind", ["feasible", "primal_infeasible",
+                                  "dual_infeasible"])
+@pytest.mark.parametrize("solver_cls", [DrSolver, PpSolver])
+def test_checkers_see_only_candidates_that_pass_their_cheap_tests(
+        solver_cls, kind, monkeypatch):
+    # a dy that fails ||A'dy||_inf never reaches C.support, and a dx that
+    # fails ||Q dx||_inf or <q, dx> never reaches the recession distance
+    P = generate(kind, 61, 20, 30, "box_soc").problem
+    screened = {"primal": [], "dual": []}
+    reached = {"primal": [], "dual": []}
+
+    def recording(side, screen):
+        def wrapped(problem, vector, eps, norm):
+            result = screen(problem, vector, eps, norm)
+            screened[side].append((vector.tobytes(), result[0]))
+            return result
+        return wrapped
+
+    def counting(side, method):
+        def wrapped(vector, *args, **kwargs):
+            reached[side].append(vector.tobytes())
+            return method(vector, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(driver, "primal_screen",
+                        recording("primal", driver.primal_screen))
+    monkeypatch.setattr(driver, "dual_screen",
+                        recording("dual", driver.dual_screen))
+    monkeypatch.setattr(P.C, "support", counting("primal", P.C.support))
+    monkeypatch.setattr(P.C, "distance_to_recession",
+                        counting("dual", P.C.distance_to_recession))
+    out = solver_cls(P).run()
+    expected = {"feasible": oc.SOLVED, "primal_infeasible": oc.PRIMAL_INFEASIBLE,
+                "dual_infeasible": oc.DUAL_INFEASIBLE}[kind]
+    assert out.status == expected
+    checks = out.iterations // DrConfig().check_interval  # PP's is equal
+    assert len(screened["primal"]) == len(screened["dual"]) == checks - (
+        kind == "feasible")
+    assert reached["primal"] == [v for v, ok in screened["primal"] if ok]
+    assert len(reached["dual"]) == sum(ok for _, ok in screened["dual"])
+    if kind == "feasible":  # every candidate fails at once
+        assert not any(ok for _, ok in screened["primal"] + screened["dual"])
+        assert reached == {"primal": [], "dual": []}
+    else:  # the certificate's own check comes last
+        side = "primal" if kind == "primal_infeasible" else "dual"
+        assert screened[side][-1][1] and reached[side]
+
+
+@pytest.mark.parametrize("field,name", [("dy", "ybar"), ("dx", "xbar")])
+@pytest.mark.parametrize("solver_cls", [DrSolver, PpSolver])
+def test_a_non_finite_candidate_still_reaches_its_checker(solver_cls, field,
+                                                          name):
+    # an infinite candidate skips the cheap tests and is rejected by the
+    # checker's own validation, as before they ran first
+    P = generate("feasible", 5, 3, 4, "box").problem
+    bad = np.zeros(P.m if field == "dy" else P.n)
+    bad[:2] = np.inf, -np.inf  # inf - inf in any product
+    ok = SolverState(n=2, x=np.zeros(3), y=np.zeros(4), v=np.zeros(4),
+                     z=np.zeros(4), dx=np.ones(3), dy=np.ones(4))
+    state = dataclasses.replace(ok, **{field: bad})
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        solver_cls(P).check_termination(state)

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -291,3 +292,77 @@ def test_solve_bits_do_not_depend_on_scipy_linalg_import_order():
     alone = _fresh_python(SOLVE).split()
     assert before[0] == after[0] == alone[0]
     assert (before[1], after[1], alone[1]) == ("True", "True", "False")
+
+
+def _old_as_vector(x, dim=None, name="vector"):
+    """``as_vector`` before its fast path: the oracle for it."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if dim is not None and v.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {v.shape[0]}, expected {dim}")
+    return v
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.5, -3.0, 1e154, 1e200,
+            1e308, -1e308, np.inf, -np.inf, np.nan]
+_LAYOUTS = {
+    "float64": lambda v: np.array(v, dtype=float),
+    "float32": lambda v: np.array(v, dtype=np.float32),
+    "big-endian": lambda v: np.array(v, dtype=">f8"),
+    "int": lambda v: np.array(v, dtype=float).astype(np.int64),
+    "list": list,
+    "tuple": tuple,
+    "0-d": lambda v: np.array(v[0] if v else 0.0),
+    "2-d": lambda v: np.array(v, dtype=float).reshape(1, -1),
+    "2-d empty": lambda v: np.zeros((0, len(v))),
+    "strided": lambda v: np.array(v + v, dtype=float)[::2],
+    "reversed": lambda v: np.array(v, dtype=float)[::-1],
+    "read-only": lambda v: np.frombuffer(np.array(v, dtype=float).tobytes()),
+    "subclass": lambda v: np.array(v, dtype=float).view(_Subclass),
+}
+
+
+def _outcome(fn, x, dim):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "ok", fn(x, dim=dim, name="v")
+        except ValueError as exc:
+            return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.sampled_from(_SPECIAL) | st.floats(), max_size=12),
+       layout=st.sampled_from(sorted(_LAYOUTS)),
+       dim_shift=st.sampled_from([None, 0, 1, -1]))
+def test_as_vector_fast_path_matches_the_full_path(values, layout, dim_shift):
+    # same verdict, message and returned object as the path without the
+    # shortcut, and no warning on any input
+    with np.errstate(all="ignore"):  # casts to float32 or int64
+        x = _LAYOUTS[layout](values)
+    dim = None if dim_shift is None else len(values) + dim_shift
+    got, expected = _outcome(as_vector, x, dim), _outcome(_old_as_vector, x, dim)
+    assert got[0] == expected[0]
+    if got[0] == "error":
+        assert got[1] == expected[1]
+    else:
+        assert (got[1] is x) == (expected[1] is x)
+        assert type(got[1]) is type(expected[1]) is np.ndarray
+        assert got[1].dtype == expected[1].dtype
+        assert got[1].shape == expected[1].shape
+        assert got[1].tobytes() == expected[1].tobytes()
+
+
+def test_as_vector_returns_a_finite_float64_vector_itself():
+    for v in (np.array([-0.0, 5e-324, 1e308, -1e308]), np.zeros(0),
+              np.arange(10.0)[::3]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert as_vector(v, dim=v.shape[0]) is v

@@ -407,6 +407,31 @@ def test_box_kernels_match_old_forms():
                     == _bits(_old_box_recession(B, v)))
 
 
+_CLIP_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                         1.0, -1.0, 0.5, 1e308, -1e308])
+_CLIP_BOUNDS = np.array([-inf, inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32,
+                               33, 63, 64, 65, 100])
+def test_box_projection_is_bitwise_clip(d):
+    # np.clip is the oracle, on signed zeros, subnormals, equal bounds
+    # (0.0 and -0.0 among them) and infinite ones, at lengths on both
+    # sides of every SIMD width
+    rng = np.random.default_rng(4000 + d)
+    for _ in range(60):
+        a, b = rng.choice(_CLIP_BOUNDS, size=(2, d))
+        lower, upper = np.minimum(a, b), np.maximum(a, b)
+        lower[lower == inf] = 0.0
+        upper[upper == -inf] = -0.0
+        equal = (rng.uniform(size=d) < 0.2) & np.isfinite(lower)
+        upper[equal] = np.where(lower[equal] == 0.0, -0.0, lower[equal])
+        B = Box(lower, upper)
+        v = rng.choice(_CLIP_VALUES, size=d)
+        assert _bits(B.project(v)) == _bits(np.clip(v, lower, upper))
+        assert _bits(B.project(v)) == _bits(np.clip(v, B.lower, B.upper))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_norm_kernels_match_numpy_norm():
     rng = np.random.default_rng(43)
