@@ -4,9 +4,9 @@ Exit codes for ``solve``: 0 solved, 10 primal infeasible, 11 dual
 infeasible, 12 iteration limit, 2 input error, 3 numerical breakdown
 (building or running the solver failed on valid input, e.g. PP's inner
 solve did not converge or DR's subproblem matrix overflowed; no outcome
-is written). Flags left unset take the solver config's defaults;
-``--alpha`` (DR) and ``--gamma`` (PP) given to the other solver are input
-errors.
+is written). Loop flags are ``LoopConfig``'s fields; an unset flag takes
+the solver config's default, and a solver's own flag (``--alpha`` for DR,
+``--gamma`` for PP) given to the other solver is an input error.
 ``check`` exits 0 when the candidate certificate passes, 1 when it
 fails, 2 on input errors.
 """
@@ -22,6 +22,7 @@ import numpy as np
 from . import fileio
 from . import outcome as oc
 from .dr import DrConfig, DrSolver
+from .driver import LoopConfig
 from .instances import KINDS, SET_FAMILIES, generate
 from .pp import InnerSolveError, PpConfig, PpSolver
 from .problem import check_dual_certificate, check_primal_certificate
@@ -51,10 +52,9 @@ def _build_parser():
                        help="DR relaxation parameter, in (0, 2)")
     solve.add_argument("--gamma", type=float,
                        help="PP regularization parameter, > 0")
-    for flag in ("--eps-abs", "--eps-rel", "--eps-pinf", "--eps-dinf"):
-        solve.add_argument(flag, type=float)
-    solve.add_argument("--max-iter", type=int)
-    solve.add_argument("--check-interval", type=int)
+    for f in dataclasses.fields(LoopConfig):
+        solve.add_argument("--" + f.name.replace("_", "-"),
+                           type=type(f.default))
     solve.add_argument("--trace", metavar="PATH",
                        help="write a per-iteration trace CSV")
     solve.add_argument("--warm", metavar="PATH",
@@ -78,11 +78,14 @@ def _build_parser():
 
 
 def _cmd_solve(args):
-    for flag, owner in (("alpha", "dr"), ("gamma", "pp")):
-        if getattr(args, flag) is not None and args.solver != owner:
-            raise ValueError(f"--{flag} applies only to --solver {owner}")
-    problem, _ = fileio.load_problem(args.path)
     config_cls, solver_cls, dual_key = SOLVERS[args.solver]
+    known = {f.name for f in dataclasses.fields(config_cls)}
+    for owner, (owner_cls, _, _) in SOLVERS.items():
+        for f in dataclasses.fields(owner_cls):
+            if f.name not in known and getattr(args, f.name, None) is not None:
+                raise ValueError(f"--{f.name.replace('_', '-')} applies only "
+                                 f"to --solver {owner}")
+    problem, _ = fileio.load_problem(args.path)
     config = config_cls(**{
         f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)
         if getattr(args, f.name, None) is not None})

@@ -36,21 +36,15 @@ from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
 
 @dataclass(frozen=True)
-class DrConfig:
-    """Relaxation, tolerances, and loop bounds for the DR solver."""
+class DrConfig(driver.LoopConfig):
+    """Relaxation ``alpha``, plus ``LoopConfig``'s fields."""
 
     alpha: float = 1.6
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-6
-    eps_pinf: float = 1e-6
-    eps_dinf: float = 1e-6
-    max_iter: int = 20000
-    check_interval: int = 25
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha out of range: must lie strictly in (0, 2)")
-        driver.validate_loop_config(self)
+        super().__post_init__()
 
 
 class _DrState(SolverState):

@@ -5,8 +5,9 @@ A solver supplies ``problem``, ``config``, ``initial_state``, ``step``,
 the one formula for the residual norms its optimality test, trace and
 ``max_iterations`` outcome report (``products`` passes
 ``(A x, Q x, A.T y)`` when the caller has them; one state gives floats).
-Config validation, the state, warm starts, the termination and
-certificate tests, the trace record and the run loop live here once.
+Config validation (``LoopConfig``), the state, warm starts, the
+termination and certificate tests, the trace record and the run loop
+live here once.
 
 A candidate reaches its public checker, and so the support or recession
 distance, only after passing the checker's cheap test
@@ -35,15 +36,23 @@ from .problem import Certificate, dual_screen, primal_screen
 TRACE_BLOCK = 25  # states per trace_record call in a traced run
 
 
-def validate_loop_config(cfg):
-    """Reject tolerances that are not finite and positive, and loop bounds
-    below one."""
-    for name in ("eps_abs", "eps_rel", "eps_pinf", "eps_dinf"):
-        require_positive(getattr(cfg, name), name)
-    if cfg.max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if cfg.check_interval < 1:
-        raise ValueError("check_interval must be at least 1")
+@dataclass(frozen=True, kw_only=True)
+class LoopConfig:
+    """Tolerances (finite, > 0) and loop bounds (>= 1) of both solvers."""
+
+    eps_abs: float = 1e-6
+    eps_rel: float = 1e-6
+    eps_pinf: float = 1e-6
+    eps_dinf: float = 1e-6
+    max_iter: int = 20000
+    check_interval: int = 25
+
+    def __post_init__(self):
+        for name in ("eps_abs", "eps_rel", "eps_pinf", "eps_dinf"):
+            require_positive(getattr(self, name), name)
+        for name in ("max_iter", "check_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass

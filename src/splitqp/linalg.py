@@ -26,6 +26,8 @@ import numpy as np
 import scipy
 
 SYMMETRY_ATOL = 1e-12
+POWER_ITERS = 100  # spectral_norm_est's most power-iteration steps
+POWER_TOL = 1e-12  # it stops once its estimate moves <= this * max(1, est)
 
 _SPEC = importlib.machinery.PathFinder.find_spec(
     "scipy.linalg._flapack", [f"{path}/linalg" for path in scipy.__path__])
@@ -97,7 +99,7 @@ def matvecs(M, v):
         return M @ v
     out = np.empty((v.shape[0], M.shape[0]))
     for row, product in zip(v, out):
-        M.dot(row, out=product)
+        np.matmul(M, row, out=product)  # M.dot: -0.0 for a 1x1 M @ [-0.0]
     return out
 
 
@@ -183,27 +185,24 @@ def spd_factor(M):
         cho_factor(as_matrix(symmetrize(M), name="symmetrized matrix")))
 
 
-def spectral_norm_est(M, iters=100, tol=1e-12):
+def spectral_norm_est(M):
     """Estimate the spectral norm of ``M`` by power iteration on M.T @ M.
 
     Deterministic: the start vector is fixed, so the same matrix always
     yields the same estimate.
     """
     M = as_matrix(M)
-    m, n = M.shape
-    if m == 0 or n == 0:
-        return 0.0
+    n = M.shape[1]
     v = np.ones(n) + 1e-3 * np.arange(n)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = M.T @ (M @ v)
         nw = np.linalg.norm(w)
         if nw <= 1e-300:
             return 0.0
-        v_next = w / nw
         est_next = np.sqrt(nw)
-        if abs(est_next - est) <= tol * max(1.0, est_next):
+        if abs(est_next - est) <= POWER_TOL * max(1.0, est_next):
             return est_next
-        v, est = v_next, est_next
+        v, est = w / nw, est_next
     return est

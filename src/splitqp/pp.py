@@ -93,8 +93,8 @@ class InnerSolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PpConfig:
-    """Regularization, inner-solve policy, and termination tolerances.
+class PpConfig(driver.LoopConfig):
+    """Regularization and inner-solve policy, plus ``LoopConfig``'s fields.
 
     ``inner_tol_abs=None`` selects the adaptive schedule
     ``max(1e-12, min(1e-10, 1e-3 * current outer residual))``; a float
@@ -104,12 +104,6 @@ class PpConfig:
     gamma: float = 1.0
     inner_tol_abs: Optional[float] = None
     inner_max_iter: int = 1000
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-6
-    eps_pinf: float = 1e-6
-    eps_dinf: float = 1e-6
-    max_iter: int = 20000
-    check_interval: int = 25
 
     def __post_init__(self):
         require_positive(self.gamma, "gamma")
@@ -117,7 +111,7 @@ class PpConfig:
             require_positive(self.inner_tol_abs, "inner_tol_abs")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be at least 1")
-        driver.validate_loop_config(self)
+        super().__post_init__()
 
 
 class PpSolver:

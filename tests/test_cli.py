@@ -13,6 +13,7 @@ import splitqp
 from splitqp import fileio
 from splitqp.cli import EXIT_BREAKDOWN, EXIT_CODES, main
 from splitqp.dr import DrConfig
+from splitqp.driver import LoopConfig
 from splitqp.instances import SET_FAMILIES, generate
 from splitqp.outcome import DUAL_INFEASIBLE, SolveOutcome
 from splitqp.pp import PpConfig
@@ -655,11 +656,32 @@ def test_check_rejects_bad_eps(tmp_path, capsys, eps):
     assert capsys.readouterr().err == "error: eps must be positive and finite\n"
 
 
-@pytest.mark.parametrize("solver,flag,value,owner",
-                         [("pp", "--alpha", "3", "dr"),
-                          ("pp", "--alpha", "1.0", "dr"),
-                          ("dr", "--gamma", "-5", "pp"),
-                          ("dr", "--gamma", "2", "pp")])
+CONFIGS = {"dr": DrConfig, "pp": PpConfig}
+# an out-of-range and an in-range value for each solver's own solve flag
+OWN_FLAG_VALUES = {"alpha": ("3", "1.0"), "gamma": ("-5", "2")}
+
+
+def _own_fields(solver):
+    """The fields the solver's config adds to LoopConfig's."""
+    loop = {f.name for f in dataclasses.fields(LoopConfig)}
+    return [f.name for f in dataclasses.fields(CONFIGS[solver])
+            if f.name not in loop]
+
+
+def test_own_flag_values_cover_every_own_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    usage = capsys.readouterr().out
+    flagged = {name for solver in CONFIGS for name in _own_fields(solver)
+               if f"--{name.replace('_', '-')} " in usage}
+    assert flagged == set(OWN_FLAG_VALUES)
+
+
+@pytest.mark.parametrize("solver,flag,value,owner", [
+    (solver, f"--{name}", value, owner)
+    for owner in CONFIGS for name in _own_fields(owner)
+    if name in OWN_FLAG_VALUES for value in OWN_FLAG_VALUES[name]
+    for solver in CONFIGS if solver != owner])
 def test_flag_for_the_other_solver_is_an_input_error(tmp_path, capsys, solver,
                                                      flag, value, owner):
     path = tmp_path / "p.json"

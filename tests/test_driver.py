@@ -363,6 +363,27 @@ def test_loop_config_rejects_non_finite(config_cls, value):
             config_cls(**{field: value})
 
 
+def test_both_configs_carry_the_loop_fields_and_defaults():
+    loop = [(f.name, f.default) for f in dataclasses.fields(driver.LoopConfig)]
+    assert dict(loop) == dict(eps_abs=1e-6, eps_rel=1e-6, eps_pinf=1e-6,
+                              eps_dinf=1e-6, max_iter=20000, check_interval=25)
+    for config_cls in (DrConfig, PpConfig):
+        fields = [(f.name, f.default) for f in dataclasses.fields(config_cls)]
+        assert fields[:len(loop)] == loop
+        assert all(getattr(config_cls(), name) == d for name, d in loop)
+    assert DrConfig(1.3).alpha == 1.3
+    assert PpConfig(2.0).gamma == 2.0
+    with pytest.raises(TypeError):  # the loop fields are keyword-only
+        DrConfig(1.3, 1e-6)
+    with pytest.raises(TypeError):
+        PpConfig(2.0, None, 1000, 1e-6)
+    # a config checks its own fields before the loop fields
+    with pytest.raises(ValueError, match="^alpha out of range"):
+        DrConfig(alpha=3.0, max_iter=0)
+    with pytest.raises(ValueError, match="^gamma must be"):
+        PpConfig(gamma=0.0, eps_abs=0.0)
+
+
 @pytest.mark.parametrize("field", ["gamma", "inner_tol_abs"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
 def test_pp_config_rejects_bad_positive_fields(field, value):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitqp import linalg
 from splitqp.linalg import (NotPositiveDefiniteError, SpdFactor, as_vector,
@@ -176,6 +176,9 @@ def test_adjoint_consistency(seed):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6))
+@example(871)  # m = n = 1 with a -0.0 entry, where M.dot gave -0.0
+@example(1827)
+@example(5945)
 def test_stacked_rows_match_vectors_bitwise(seed):
     # the trace's products and norms of a block, against one state's
     rng = np.random.default_rng(seed)
@@ -198,7 +201,8 @@ def test_spectral_norm_estimate():
         est = spectral_norm_est(M)
         true = np.linalg.norm(M, 2)
         assert abs(est - true) <= 1e-6 * true
-    assert spectral_norm_est(np.zeros((3, 2))) == 0.0
+    for shape in ((3, 2), (0, 3), (3, 0)):
+        assert spectral_norm_est(np.zeros(shape)) == 0.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
