@@ -31,7 +31,7 @@ import numpy as np
 
 from . import driver
 from .driver import SolverState
-from .linalg import inf_norms, matvecs, spd_factor
+from .linalg import inf_norm, matvecs, spd_factor
 from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
 
@@ -103,7 +103,7 @@ class DrSolver:
             products = (matvecs(P.A, state.x), matvecs(P.Q, state.x),
                         matvecs(P.A.T, state.y))
         Ax, Qx, Aty = products
-        return inf_norms(Ax - state.z), inf_norms(Qx + P.q + Aty)
+        return inf_norm(Ax - state.z), inf_norm(Qx + P.q + Aty)
 
     def check_termination(self, state: SolverState):
         """The driver's tests, with this module's certificate checkers."""

@@ -17,9 +17,10 @@ distance, only after passing the checker's cheap test
 A traced run records its rows a block of states at a time:
 ``trace_record`` stacks the block into one state of ``(k, .)`` rows and
 evaluates each quantity once on the last axis (the residual formula, the
-norms, the set's support and recession kernels). Products and dot
-products stay one ``gemv`` or ``dot`` per state, so every row is bitwise
-the row of its state alone.
+norms, the set's support and recession kernels). Products are one
+batched ``matmul`` per block, whose rows are bitwise a vector's product;
+dot products stay one ``dot`` per state. So every row is bitwise the row
+of its state alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import outcome as oc
-from .linalg import as_vector, inf_norm, inf_norms, matvecs, require_positive
+from .linalg import as_vector, inf_norm, matvecs, require_positive
 from .problem import Certificate, dual_screen, primal_screen
 
 TRACE_BLOCK = 25  # states per trace_record call in a traced run
@@ -178,10 +179,11 @@ def trace_record(solver, states):
     """Trace rows of consecutive states: the stopping residuals and the
     certificate quantities.
 
-    Each quantity is evaluated once on the block's stacked rows; products
-    and dot products stay per state and norms are exact, so a row is
-    bitwise the one its state gives alone. Raises ValueError, as the
-    public set methods do, when a ``dy`` or ``A dx`` is not finite.
+    Each quantity is evaluated once on the block's stacked rows: products
+    in one batched ``matmul`` that gives each row a vector's bits, dot
+    products per state, and exact norms, so a row is bitwise the one its
+    state gives alone. Raises ValueError, as the public set methods do,
+    when a ``dy`` or ``A dx`` is not finite.
     """
     P, cfg = solver.problem, solver.config
     block = _Block(states)
@@ -190,10 +192,10 @@ def trace_record(solver, states):
         raise ValueError("vector has non-finite entries")
     columns = (  # in TraceRecord's field order
         *(r.tolist() for r in solver.stopping_residuals(block)),
-        *(inf_norms(B).tolist() for B in (
+        *(inf_norm(B).tolist() for B in (
             block.dx, block.dy, matvecs(P.A.T, block.dy))),
         P.C._support(block.dy, cfg.eps_pinf).tolist(),
-        inf_norms(matvecs(P.Q, block.dx)).tolist(),
+        inf_norm(matvecs(P.Q, block.dx)).tolist(),
         np.array([P.q.dot(s.dx) for s in states]).tolist(),
         np.sqrt([r.dot(r) for r in Adx - P.C._recession(Adx)]).tolist())
     return [oc.TraceRecord(s.n, *(c[i] for c in columns),

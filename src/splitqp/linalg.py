@@ -79,28 +79,18 @@ def require_positive(value, name):
 
 
 def inf_norm(v):
-    """Max-abs norm of ``v`` as a float; 0.0 for an empty vector."""
-    return float(np.abs(v).max(initial=0.0))
-
-
-def inf_norms(v):
-    """Max-abs norm along the last axis: ``inf_norm`` for a vector, an
-    array for the rows of a stack. Each is exact, so a row's is bitwise
-    its ``inf_norm``."""
-    if v.ndim == 1:
-        return inf_norm(v)
-    return np.abs(v).max(axis=-1, initial=0.0)
+    """Max-abs norm along the last axis, 0.0 when that axis is empty: a
+    float for a vector, an array for the rows of a stack. The maximum is
+    exact, so a row's norm is bitwise its ``inf_norm``."""
+    norms = np.maximum.reduce(np.abs(v), axis=-1, initial=0.0)
+    return float(norms) if v.ndim == 1 else norms
 
 
 def matvecs(M, v):
-    """``M @ v``, or ``M @ row`` for each row of a stack ``v``: one
-    ``gemv`` per row, so each row is bitwise the product of a vector."""
-    if v.ndim == 1:
-        return M @ v
-    out = np.empty((v.shape[0], M.shape[0]))
-    for row, product in zip(v, out):
-        np.matmul(M, row, out=product)  # M.dot: -0.0 for a 1x1 M @ [-0.0]
-    return out
+    """``M @ v`` for a vector, or ``M @ row`` for each row of a stack, in
+    one batched ``matmul``: numpy runs the same ``gemv`` per row, so each
+    row is bitwise the product of a vector."""
+    return np.matmul(M, v[..., None])[..., 0]
 
 
 def symmetrize(M):
@@ -179,7 +169,7 @@ def spd_factor(M):
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if inf_norm(M - M.T) > SYMMETRY_ATOL:
+    if inf_norm((M - M.T).ravel()) > SYMMETRY_ATOL:
         raise ValueError(f"matrix is not symmetric within tolerance {SYMMETRY_ATOL:g}")
     return SpdFactor(
         cho_factor(as_matrix(symmetrize(M), name="symmetrized matrix")))

@@ -76,7 +76,7 @@ import numpy as np
 
 from . import driver
 from .driver import SolverState
-from .linalg import inf_norm, inf_norms, require_positive
+from .linalg import inf_norm, require_positive
 from .linalg import scipy_seam as scipy
 from .problem import (ProblemData, check_dual_certificate,
                       check_primal_certificate)
@@ -361,7 +361,7 @@ class PpSolver:
         """Residual norms from the scaled differences; ``products`` is
         unused. A state of stacked rows gives an array per residual."""
         g = self.config.gamma
-        return inf_norms(state.dy) / g, inf_norms(state.dx) / g
+        return inf_norm(state.dy) / g, inf_norm(state.dx) / g
 
     def check_termination(self, state: SolverState):
         """The driver's tests, with this module's certificate checkers."""

@@ -53,7 +53,7 @@ class ProblemData:
             raise ValueError("problem needs at least one variable and one constraint row")
         self.Q = as_matrix(self.Q, shape=(n, n), name="Q")
         self.q = as_vector(self.q, dim=n, name="q")
-        if inf_norm(self.Q - self.Q.T) > SYMMETRY_ATOL:
+        if inf_norm((self.Q - self.Q.T).ravel()) > SYMMETRY_ATOL:
             raise ValueError(f"Q is not symmetric within tolerance {SYMMETRY_ATOL:g}")
         self.Q = symmetrize(self.Q)
         if not isinstance(self.C, SetDescriptor):

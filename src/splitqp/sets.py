@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_vector, inf_norms
+from .linalg import as_vector, inf_norm
 
 CONE_MEMBERSHIP_TOL = 1e-12
 
@@ -210,11 +210,8 @@ class Box(SetDescriptor):
             (np.zeros(y.shape[:-1] + (1,)), terms), axis=-1), axis=-1)
         return np.where(unbounded.any(axis=-1), np.inf, sums[..., -1])
 
-    # per row: np.clip keeps a -0.0 when a stack of one column takes
-    # numpy's loop for constant bounds, where a vector's loop gives 0.0
-    @_per_row
     def _recession(self, d):
-        return np.clip(d, self._rec_lower, self._rec_upper)
+        return np.minimum(np.maximum(d, self._rec_lower), self._rec_upper)
 
     def _jacobian(self, v):
         free = (v > self.lower) & (v < self.upper)
@@ -238,11 +235,11 @@ class _Cone(SetDescriptor):
         return self._project(d)
 
     def _polar_distance(self, y):
-        return inf_norms(self._recession(y))
+        return inf_norm(self._recession(y))
 
     def _in_polar(self, y, cone_tol):
         with np.errstate(over="ignore"):  # silent like a float product
-            bound = cone_tol * np.maximum(1.0, inf_norms(y))
+            bound = cone_tol * np.maximum(1.0, inf_norm(y))
         return self._polar_distance(y) <= bound
 
     def _support(self, y, cone_tol):
@@ -274,12 +271,14 @@ class Halfspace(SetDescriptor):
 
     def __init__(self, normal, offset):
         self.normal = as_vector(normal, name="normal")
-        if not np.any(self.normal):
-            raise ValueError("halfspace normal must be nonzero")
+        with np.errstate(over="ignore"):  # an overflow fails the test below
+            self._sqnorm = float(self.normal @ self.normal)
+        if not 0.0 < self._sqnorm < math.inf:
+            raise ValueError("halfspace normal must be nonzero, with a"
+                             " positive and finite squared norm")
         self.offset = float(offset)
         if not math.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
-        self._sqnorm = float(self.normal @ self.normal)
         self.dim = self.normal.shape[0]
 
     def _cut(self, v, excess):
@@ -381,7 +380,7 @@ class SecondOrderCone(_Cone):
     def _polar_distance(self, y):
         # y minus its projection -proj_K(-y) onto the polar cone -K; the
         # Moreau form differs from it by rounding, so the bits stay these
-        return inf_norms(y + self._recession(-y))
+        return inf_norm(y + self._recession(-y))
 
     def _jacobian(self, v):
         t, x = v[0], v[1:]

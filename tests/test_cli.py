@@ -155,6 +155,13 @@ def test_malformed_set_member_exits_2(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: set.parts[5].radius: expected a number\n")
+    # a normal whose squared norm underflows to 0 or overflows to inf
+    for normal in (1e-300, 1e200):
+        path.write_text(json.dumps({
+            "n": 1, "m": 1, "Q": [[0, 0, 1.0]], "q": [0.0], "A": [[0, 0, 1.0]],
+            "set": {"type": "halfspace", "normal": [normal], "offset": -1.0}}))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: set: halfspace normal")
 
 
 def test_rejects_nan_and_bad_members():

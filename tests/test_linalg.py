@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from splitqp import linalg
 from splitqp.linalg import (NotPositiveDefiniteError, SpdFactor, as_vector,
-                            inf_norm, inf_norms, matvecs, scipy_seam,
+                            inf_norm, matvecs, scipy_seam,
                             spd_factor, spectral_norm_est, symmetrize)
 
 
@@ -38,7 +38,16 @@ def test_inf_norm_matches_max_abs():
     for v in (rng.normal(size=17), np.array([-3.0, 2.0]), np.zeros(0),
               np.array([1.0, np.nan])):
         expected = float(np.max(np.abs(v), initial=0.0))
+        assert type(inf_norm(v)) is float
         assert np.array_equal(inf_norm(v), expected, equal_nan=True)
+    # a stack gives each row's norm: a NaN row stays NaN, no columns 0.0
+    stack = rng.normal(size=(4, 6))
+    stack[2, 3] = np.nan
+    norms = inf_norm(stack)
+    assert np.array_equal(norms, [inf_norm(row) for row in stack],
+                          equal_nan=True)
+    assert np.isnan(norms).tolist() == [False, False, True, False]
+    assert inf_norm(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_spd_factor_examples():
@@ -187,7 +196,7 @@ def test_stacked_rows_match_vectors_bitwise(seed):
     for A, V in ((M, rng.normal(size=(k, n))), (M.T, rng.normal(size=(k, m)))):
         V[rng.uniform(size=V.shape) < 0.1] = -0.0
         products = matvecs(A, V)
-        norms = inf_norms(V)
+        norms = inf_norm(V)
         for row, product, norm in zip(V, products, norms):
             assert product.tobytes() == (A @ row.copy()).tobytes()
             assert repr(float(norm)) == repr(inf_norm(row))

@@ -186,8 +186,10 @@ def test_descriptor_validation():
         Box([1.0], [0.0])
     with pytest.raises(ValueError):
         Box([np.inf], [np.inf])
-    with pytest.raises(ValueError, match="nonzero"):
-        Halfspace([0.0, 0.0], 1.0)
+    for normal in ([0.0, 0.0], [1e-300, 0.0], [1e200, 0.0]):
+        # zero, or a squared norm that underflows or overflows
+        with pytest.raises(ValueError, match="nonzero, with a positive and finite"):
+            Halfspace(normal, 1.0)
     with pytest.raises(ValueError, match="radius"):
         Ball([0.0], -1.0)
     with pytest.raises(ValueError):
@@ -417,7 +419,8 @@ _CLIP_BOUNDS = np.array([-inf, inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
 def test_box_projection_is_bitwise_clip(d):
     # np.clip is the oracle, on signed zeros, subnormals, equal bounds
     # (0.0 and -0.0 among them) and infinite ones, at lengths on both
-    # sides of every SIMD width
+    # sides of every SIMD width; the recession clamp of a (k, d) stack
+    # against np.clip of each row
     rng = np.random.default_rng(4000 + d)
     for _ in range(60):
         a, b = rng.choice(_CLIP_BOUNDS, size=(2, d))
@@ -430,6 +433,11 @@ def test_box_projection_is_bitwise_clip(d):
         v = rng.choice(_CLIP_VALUES, size=d)
         assert _bits(B.project(v)) == _bits(np.clip(v, lower, upper))
         assert _bits(B.project(v)) == _bits(np.clip(v, B.lower, B.upper))
+        rec_lower = np.where(np.isinf(lower), -inf, 0.0)
+        rec_upper = np.where(np.isinf(upper), inf, 0.0)
+        V = rng.choice(_CLIP_VALUES, size=(rng.integers(1, 30), d))
+        assert _bits(B._recession(V)) == _bits(np.array(
+            [np.clip(row, rec_lower, rec_upper) for row in V]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -668,7 +676,8 @@ def _stacked_set(draw, kind, dim):
     if kind == "ball":
         return Ball(_vec(draw, dim), draw(st.floats(0.0, 1e3)))
     if kind == "halfspace":
-        normal = _vec(draw, dim)
+        # entries whose squares sum to a finite value, as the set requires
+        normal = np.clip(_vec(draw, dim), -1e150, 1e150)
         normal[0] = draw(st.sampled_from([1.0, -2.5, 1e-3]))
         return Halfspace(normal, draw(st.floats(-1e3, 1e3)))
     if kind == "translated_cone":
