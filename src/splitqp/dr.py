@@ -49,26 +49,45 @@ class DrConfig(driver.LoopConfig):
 
 class _DrState(SolverState):
     """A stepped state that forms ``y = v - z``, ``dx`` and ``dy`` on first
-    read from the previous state's arrays, never keeping that state."""
+    read from ``_prev``, the previous state's ``x``, ``v`` and ``z``; it
+    keeps those arrays, never that state."""
 
     def __getattr__(self, name):
         if name not in ("y", "dx", "dy"):
             raise AttributeError(name)
-        x0, y0, v0, z0 = self.__dict__.pop("_prev")
+        x0, v0, z0 = self._prev
         self.y, self.dx = self.v - self.z, self.x - x0
-        self.dy = self.y - (v0 - z0 if y0 is None else y0)
+        self.dy = self.y - (v0 - z0)
         return self.__dict__[name]
+
+
+class _DrBlock(driver.Block):
+    """Stepped states with ``x``, ``v`` and ``z`` stacked behind the first
+    one's ``_prev``; ``Y = V - Z`` and the row differences are a state's
+    own subtractions, so their rows are bitwise each state's."""
+
+    def __getattr__(self, field):
+        if field not in ("x", "y", "v", "z", "dx", "dy"):
+            return super().__getattr__(field)
+        X, V, Z = (np.array(rows) for rows in zip(
+            self[0]._prev, *((s.x, s.v, s.z) for s in self)))
+        Y = V - Z
+        self.__dict__.update(x=X[1:], y=Y[1:], v=V[1:], z=Z[1:],
+                             dx=X[1:] - X[:-1], dy=Y[1:] - Y[:-1])
+        return self.__dict__[field]
 
 
 class DrSolver:
     """Owns the factored subproblem matrix; every state has ``z + y == v``."""
 
+    Block = _DrBlock
     trace_record = driver.trace_record
     run = driver.run
 
     def __init__(self, problem: ProblemData, config: DrConfig = None):
         self.problem = problem
         self.config = config if config is not None else DrConfig()
+        self._q_norm = inf_norm(problem.q)  # the dual test's fixed term
         M = problem.Q + np.eye(problem.n) + problem.A.T @ problem.A
         self._factor = spd_factor(M)
 
@@ -89,7 +108,7 @@ class DrSolver:
         state_next = _DrState.__new__(_DrState)  # without dataclass init
         state_next.__dict__.update(
             n=state.n + 1, x=x_next, v=v_next, z=P.C.project(v_next),
-            _prev=(state.x, state.__dict__.get("y"), state.v, state.z))
+            _prev=(state.x, state.v, state.z))
         return state_next
 
     def stopping_residuals(self, state: SolverState, products=None):

@@ -4,7 +4,8 @@ A solver supplies ``problem``, ``config``, ``initial_state``, ``step``,
 ``check_termination`` and ``stopping_residuals(state, products=None)``,
 the one formula for the residual norms its optimality test, trace and
 ``max_iterations`` outcome report (``products`` passes
-``(A x, Q x, A.T y)`` when the caller has them; one state gives floats).
+``(A x, Q x, A.T y)`` when the caller has them; one state gives floats),
+and ``Block``, the list type that stacks a block's fields for the trace.
 Config validation (``LoopConfig``), the state, warm starts, the
 termination and certificate tests, the trace record and the run loop
 live here once.
@@ -17,10 +18,12 @@ distance, only after passing the checker's cheap test
 A traced run records its rows a block of states at a time:
 ``trace_record`` stacks the block into one state of ``(k, .)`` rows and
 evaluates each quantity once on the last axis (the residual formula, the
-norms, the set's support and recession kernels). Products are one
-batched ``matmul`` per block, whose rows are bitwise a vector's product;
-dot products stay one ``dot`` per state. So every row is bitwise the row
-of its state alone.
+norms, the set's support and recession kernels). A DR block forms ``y``,
+``dx`` and ``dy`` from ``x``, ``v`` and ``z`` stacked once behind the state
+before the block: ``Y = V - Z`` and the differences of consecutive rows
+are a state's own subtractions. Products are one batched ``matmul`` per
+block, whose rows are bitwise a vector's product; dot products stay one
+``dot`` per row. So every row is bitwise the row of its state alone.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def terminate(solver, state, check_primal, check_dual):
     prim, dual = solver.stopping_residuals(state, (Ax, Qx, Aty))
     eps_prim = cfg.eps_abs + cfg.eps_rel * max(inf_norm(Ax), inf_norm(state.z))
     if prim <= eps_prim and dual <= cfg.eps_abs + cfg.eps_rel * max(
-            inf_norm(Qx), inf_norm(P.q), inf_norm(Aty)):
+            inf_norm(Qx), solver._q_norm, inf_norm(Aty)):
         return _outcome(state, oc.SOLVED, (prim, dual))
     primal_cert = _certificate(P, "primal_infeasibility", state.dy,
                                primal_screen, check_primal, cfg.eps_pinf)
@@ -165,7 +168,7 @@ def terminate(solver, state, check_primal, check_dual):
     return None
 
 
-class _Block(list):
+class Block(list):
     """Consecutive states. Reading a field stacks it into rows once, so
     PP's residuals, which read only ``dx`` and ``dy``, stack only those."""
 
@@ -179,14 +182,14 @@ def trace_record(solver, states):
     """Trace rows of consecutive states: the stopping residuals and the
     certificate quantities.
 
-    Each quantity is evaluated once on the block's stacked rows: products
-    in one batched ``matmul`` that gives each row a vector's bits, dot
-    products per state, and exact norms, so a row is bitwise the one its
+    Each quantity is evaluated once on the rows ``solver.Block`` stacks:
+    products in one batched ``matmul`` that gives each row a vector's bits,
+    dot products per row, and exact norms, so a row is bitwise the one its
     state gives alone. Raises ValueError, as the public set methods do,
     when a ``dy`` or ``A dx`` is not finite.
     """
     P, cfg = solver.problem, solver.config
-    block = _Block(states)
+    block = solver.Block(states)
     Adx = matvecs(P.A, block.dx)
     if not (np.isfinite(block.dy).all() and np.isfinite(Adx).all()):
         raise ValueError("vector has non-finite entries")
@@ -196,11 +199,10 @@ def trace_record(solver, states):
             block.dx, block.dy, matvecs(P.A.T, block.dy))),
         P.C._support(block.dy, cfg.eps_pinf).tolist(),
         inf_norm(matvecs(P.Q, block.dx)).tolist(),
-        np.array([P.q.dot(s.dx) for s in states]).tolist(),
+        np.array([P.q.dot(r) for r in block.dx]).tolist(),
         np.sqrt([r.dot(r) for r in Adx - P.C._recession(Adx)]).tolist())
-    return [oc.TraceRecord(s.n, *(c[i] for c in columns),
-                           inner_iters=s.inner_iters)
-            for i, s in enumerate(states)]
+    return [oc.TraceRecord(s.n, *row, inner_iters=s.inner_iters)
+            for s, row in zip(states, zip(*columns))]
 
 
 def iterate(solver, warm=None):

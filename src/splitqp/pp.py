@@ -121,12 +121,14 @@ class PpSolver:
     ``y = gamma (v - z)`` holds exactly for every state with ``n >= 1``.
     """
 
+    Block = driver.Block
     trace_record = driver.trace_record
     run = driver.run
 
     def __init__(self, problem: ProblemData, config: PpConfig = None):
         self.problem = problem
         self.config = config if config is not None else PpConfig()
+        self._q_norm = inf_norm(problem.q)  # the dual test's fixed term
         g = self.config.gamma
         self._S = np.eye(problem.n) + g * problem.Q
         self._gq = g * problem.q

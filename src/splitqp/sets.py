@@ -19,9 +19,10 @@ is the zero cone translated by it (``Singleton``).
 ``_support`` and ``_recession`` also take the ``(k, dim)`` stack of a
 traced block: ``_support`` returns k values, ``_recession`` a stack, each
 row bitwise the kernel's value for that row alone. ``_per_row`` calls a
-kernel once per row where the last axis would change its bits or slow
-the projection every step makes. Dot products stay 1-d per row, since a
-matrix product adds in another order. The rest take vectors.
+kernel once per row where the last axis would change its bits: Halfspace's
+``_support`` and ``_recession`` and Ball's ``_support``. Dot products stay
+1-d per row, since a matrix product adds in another order. The rest take
+vectors.
 
 Support functions of cones are 0 on the polar cone and +inf elsewhere;
 deciding polar membership in floating point needs a tolerance, exposed
@@ -374,8 +375,21 @@ class SecondOrderCone(_Cone):
         out[1:] = (scale / rho) * x
         return out
 
-    # the projection of a stack, as the recession cone's, row by row
-    _recession = _per_row(_project)
+    def _recession(self, d):
+        if d.ndim == 1:
+            return self._project(d)
+        # _project's branches by masks, with its third branch's arithmetic
+        # only on its own rows, where rho > |t| >= 0
+        t, x = d[:, 0], d[:, 1:]
+        rho = np.sqrt([row.dot(row) for row in x])
+        inside = rho <= t
+        cut = ~inside & ~(rho <= -t)
+        scale = 0.5 * np.add(t, rho, out=np.zeros_like(rho), where=cut)
+        ratio = np.divide(scale, rho, out=np.zeros_like(rho), where=cut)
+        tail = np.multiply(ratio[:, None], x, out=np.zeros_like(x),
+                           where=cut[:, None])
+        return np.where(inside[:, None], d,
+                        np.concatenate((scale[:, None], tail), axis=1))
 
     def _polar_distance(self, y):
         # y minus its projection -proj_K(-y) onto the polar cone -K; the
@@ -419,11 +433,11 @@ class TranslatedCone(SetDescriptor):
 
     def _support(self, y, cone_tol):
         inside = self.cone._in_polar(y, cone_tol)
-        values = np.full(inside.shape, np.inf)
-        for i in np.ndindex(inside.shape):  # a 1-d dot per row in the polar
-            if inside[i]:
-                values[i] = self.offset @ y[i]
-        return values
+        if y.ndim == 1:
+            return self.offset @ y if inside else math.inf
+        # a 1-d dot per row in the polar
+        return np.array([self.offset @ row if ok else math.inf
+                         for row, ok in zip(y, inside)])
 
     def _recession(self, d):
         return self.cone._recession(d)

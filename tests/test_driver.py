@@ -197,8 +197,10 @@ def test_warm_started_run_matches_reference(solver_cls):
     P = generate("primal_infeasible", 91, 6, 9, "box_soc").problem
     warm = (rng.normal(size=P.n), rng.normal(size=P.m))
     solver = solver_cls(P)
-    _assert_same_outcome(solver.run(warm=warm),
-                         _reference_run(solver_cls(P), warm=warm))
+    for trace in (False, True):  # a traced run's first block from warm
+        _assert_same_outcome(
+            solver.run(warm=warm, collect_trace=trace),
+            _reference_run(solver_cls(P), warm=warm, collect_trace=trace))
     assert np.array_equal(warm[0], solver.initial_state(warm).x)
     assert solver.initial_state(warm).x is not warm[0]
 
@@ -236,7 +238,11 @@ def test_block_trace_matches_reference_on_hand_built_sets(
 
         def recording(states):
             blocks.append(len(states))
-            return record(states)
+            formed = [sorted(s.__dict__) for s in states]
+            rows = record(states)
+            # the block forms a DR state's y, dx and dy without the state
+            assert [sorted(s.__dict__) for s in states] == formed
+            return rows
 
         solver.trace_record = recording
         got = solver.run(collect_trace=True)

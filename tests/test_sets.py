@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitqp import sets
 from splitqp.linalg import inf_norm
@@ -709,13 +709,34 @@ def _stacked_rows(draw, S):
     return np.array(rows)
 
 
+@st.composite
+def _stacked_case(draw):
+    """A set and rows to stack, with the errors its kernels may raise:
+    entries near 1e308 overflow in the vector kernels too."""
+    with np.errstate(all="ignore"):
+        S = draw(_stacked_set(draw(st.sampled_from(ALL_KINDS)),
+                              draw(st.integers(1, 4))))
+        return S, _stacked_rows(draw, S), "ignore"
+
+
+# second-order cone rows on each branch of its stacked projection, at
+# the mask edges ||x|| = t and ||x|| = -t, with x = 0 where the division
+# is masked out, m = 1 and +-0.0 entries; any warning fails these
+_SOC_ROWS = np.array([[5.0, 3.0, 4.0], [-5.0, 3.0, 4.0], [-2.0, 0.0, 0.0],
+                      [2.0, 0.0, -0.0], [0.0, 0.0, 0.0], [-0.0, -0.0, 0.0],
+                      [1.0, -0.0, 2.0], [-1.0, 3.0, -4.0], [-0.0, 0.0, -1.0]])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from(ALL_KINDS), st.integers(1, 4),
-       st.sampled_from([1e-12, 1e-6, 1.0]))
-def test_stacked_kernels_match_the_vector_kernels(data, kind, dim, cone_tol):
-    with np.errstate(all="ignore"):  # entries near 1e308 overflow
-        S = data.draw(_stacked_set(kind, dim))
-        Y = _stacked_rows(data.draw, S)
+@given(_stacked_case(), st.sampled_from([1e-12, 1e-6, 1.0]))
+@example((SecondOrderCone(3), _SOC_ROWS, "raise"), 1e-12)
+@example((SecondOrderCone(1), np.array([[1.0], [-1.0], [0.0], [-0.0]]),
+          "raise"), 1e-12)
+@example((TranslatedCone([1.0, -0.0, 2.0], SecondOrderCone(3)),
+          np.concatenate([_SOC_ROWS, -_SOC_ROWS]), "raise"), 1e-6)
+def test_stacked_kernels_match_the_vector_kernels(case, cone_tol):
+    S, Y, errors = case
+    with np.errstate(all=errors):
         support = S._support(Y, cone_tol)
         recession = S._recession(Y)
         assert support.shape == Y.shape[:1] and recession.shape == Y.shape
