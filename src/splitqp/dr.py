@@ -67,12 +67,12 @@ class _DrBlock(driver.Block):
     own subtractions, so their rows are bitwise each state's."""
 
     def __getattr__(self, field):
-        if field not in ("x", "y", "v", "z", "dx", "dy"):
+        if field not in ("x", "y", "z", "dx", "dy"):
             return super().__getattr__(field)
         X, V, Z = (np.array(rows) for rows in zip(
             self[0]._prev, *((s.x, s.v, s.z) for s in self)))
         Y = V - Z
-        self.__dict__.update(x=X[1:], y=Y[1:], v=V[1:], z=Z[1:],
+        self.__dict__.update(x=X[1:], y=Y[1:], z=Z[1:],
                              dx=X[1:] - X[:-1], dy=Y[1:] - Y[:-1])
         return self.__dict__[field]
 
